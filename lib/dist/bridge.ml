@@ -205,7 +205,16 @@ let bound_port fd =
   | Unix.ADDR_INET (_, port) -> port
   | Unix.ADDR_UNIX _ -> invalid_arg "Bridge.bound_port: not an inet socket"
 
-let accept_one fd = fst (Unix.accept fd)
+(* Nagle off on every fabric socket (see the interface for why). Best
+   effort: a socket the peer already reset may refuse the option, and that
+   failure surfaces on its first read or write instead. *)
+let set_nodelay fd =
+  try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
+
+let accept_one fd =
+  let s, _ = Unix.accept fd in
+  set_nodelay s;
+  s
 
 let connect_local ?(retries = 0) ?(backoff = 0.05) ~port () =
   let fd () = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -217,7 +226,9 @@ let connect_local ?(retries = 0) ?(backoff = 0.05) ~port () =
   let rec go n delay =
     let s = fd () in
     match Unix.connect s addr with
-    | () -> s
+    | () ->
+      set_nodelay s;
+      s
     | exception Unix.Unix_error ((ECONNREFUSED | ECONNRESET | EINTR), _, _)
       when n < retries ->
       (try Unix.close s with _ -> ());

@@ -67,9 +67,17 @@ val bound_port : Unix.file_descr -> int
 (** The actual local port of a bound socket (via [getsockname]). *)
 
 val accept_one : Unix.file_descr -> Unix.file_descr
+(** Accept one connection and set [TCP_NODELAY] on it. Errors from
+    [accept] propagate unchanged. *)
 
 val connect_local :
   ?retries:int -> ?backoff:float -> port:int -> unit -> Unix.file_descr
-(** Connect to 127.0.0.1:[port]. A refused connection (listener still
-    starting) is retried up to [retries] times with exponentially growing
-    [backoff] (initial delay, default 50ms); default is no retry. *)
+(** Connect to 127.0.0.1:[port] and set [TCP_NODELAY] on the socket. A
+    refused connection (listener still starting) is retried up to [retries]
+    times with exponentially growing [backoff] (initial delay, default
+    50ms); default is no retry.
+
+    Both TCP constructors disable Nagle's algorithm because every frame on
+    these sockets is a small message the peer is blocked on: with Nagle on,
+    a frame sent while the previous one is unacknowledged waits for the
+    peer's delayed ACK (~40 ms on Linux loopback). *)

@@ -14,9 +14,12 @@
    Wire discipline per channel:
    - the producer stamps every committed value with a sequence number and
      keeps it buffered until acknowledged; the sender thread coalesces all
-     values queued since the last flush into ONE [Sh_batch] frame,
-     amortizing encode and syscall cost the way batched op submission
-     amortizes engine entry;
+     values queued since the last flush into ONE [Sh_batch] frame per
+     channel, and writes every frame the flush owes (batches, acks, poison,
+     close) with ONE [write]. On the [TCP_NODELAY] sockets the bridge
+     helpers create, that write leaves as soon as it is made: a hand-off
+     costs one syscall and one segment, never a wait for the peer's
+     delayed ACK;
    - the producer gate reports ready only while unacknowledged items are
      below the channel window, so a slow or dead shard parks the producer
      region instead of ballooning memory (backpressure);
@@ -41,6 +44,7 @@ module Port = Preo_runtime.Port
 module Config = Preo_runtime.Config
 module Sched = Preo_runtime.Sched
 module Shard_stats = Preo_runtime.Shard_stats
+module Timer = Preo_runtime.Timer
 module Vertex = Preo_automata.Vertex
 
 let spf = Printf.sprintf
@@ -339,10 +343,12 @@ let make_link ~token chans =
     lk_spawns = 0;
   }
 
+(* Broadcast, not signal: during a handshake the manager waits on
+   [lk_cond] too, and a signal it absorbed would be lost to the sender. *)
 let link_signal lk =
   Mutex.lock lk.lk_mu;
   lk.lk_dirty <- true;
-  Condition.signal lk.lk_cond;
+  Condition.broadcast lk.lk_cond;
   Mutex.unlock lk.lk_mu
 
 (* Take a failed fd down (only the current session's). *)
@@ -419,12 +425,11 @@ let sender_loop lk =
           | None -> frames
         in
         let frames = if closing then frames @ [ Wire.Sh_close ] else frames in
-        (* Writes happen outside the link mutex: a failure takes the link
-           down; anything lost is replayed after reconnect (the wire
+        (* One write per flush, outside the link mutex: a failure takes the
+           link down; anything lost is replayed after reconnect (the wire
            pointer rewinds to the ack watermark) and deduplicated by
            sequence number on the far side. *)
-        (try List.iter (Wire.write_shard fd) frames
-         with _ -> link_down lk fd);
+        (try Wire.write_shards fd frames with _ -> link_down lk fd);
         if closing then stop () else loop ()
     end
   in
@@ -624,7 +629,7 @@ let spawn_worker h lk =
    every later link failure into a silent hello-timeout grind. *)
 let accept_loop h =
   let rec loop () =
-    match Unix.accept h.h_listener with
+    match Bridge.accept_one h.h_listener with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
       ()  (* listener closed: shutting down *)
@@ -634,7 +639,7 @@ let accept_loop h =
         Thread.delay 0.05;
         loop ()
       end
-    | fd, _ ->
+    | fd ->
       if Atomic.get h.h_stop then (try Unix.close fd with _ -> ())
       else begin
         (match Wire.read_shard ~deadline:(Unix.gettimeofday () +. 5.0) fd with
@@ -736,27 +741,34 @@ let manager h lk w =
     | Some c -> c
     | None -> shard_err "shard: unknown channel %d" id
   in
+  (* Park until the accept thread hands over a connection (it broadcasts
+     [lk_cond]), the link closes, or the hello deadline passes. [Condition]
+     has no timed wait, so a timer broadcasts at the deadline. *)
   let wait_pending () =
     let limit = Unix.gettimeofday () +. h.h_hello_timeout in
+    let alarm =
+      Timer.register limit (fun () ->
+          Mutex.lock lk.lk_mu;
+          Condition.broadcast lk.lk_cond;
+          Mutex.unlock lk.lk_mu)
+    in
+    Mutex.lock lk.lk_mu;
     let rec go () =
-      Mutex.lock lk.lk_mu;
       match lk.lk_pending with
       | Some fd ->
         lk.lk_pending <- None;
-        Mutex.unlock lk.lk_mu;
         Some fd
       | None ->
-        let give_up =
-          lk.lk_stop || lk.lk_close || Unix.gettimeofday () > limit
-        in
-        Mutex.unlock lk.lk_mu;
-        if give_up then None
+        if lk.lk_stop || lk.lk_close || Unix.gettimeofday () >= limit then None
         else begin
-          Thread.delay 0.02;
+          Condition.wait lk.lk_cond lk.lk_mu;
           go ()
         end
     in
-    go ()
+    let fd = go () in
+    Mutex.unlock lk.lk_mu;
+    Timer.cancel alarm;
+    fd
   in
   let apply_resume resumes =
     List.iter

@@ -157,12 +157,17 @@ let really_read ?deadline fd n ~allow_eof =
   in
   go 0
 
+(* Append one length-prefixed frame to [out]. Header and payload leave in
+   the same [write]: split across two, the payload segment would wait on
+   the peer's (delayed) ACK of the header whenever Nagle is on. *)
+let add_frame out payload =
+  add_int out (Buffer.length payload);
+  Buffer.add_buffer out payload
+
 let write_frame ?deadline fd buf =
-  let payload = Buffer.to_bytes buf in
-  let header = Buffer.create 8 in
-  add_int header (Bytes.length payload);
-  really_write ?deadline fd (Buffer.to_bytes header);
-  really_write ?deadline fd payload
+  let out = Buffer.create (8 + Buffer.length buf) in
+  add_frame out buf;
+  really_write ?deadline fd (Buffer.to_bytes out)
 
 let read_frame ?deadline fd ~allow_eof =
   match really_read ?deadline fd 8 ~allow_eof with
@@ -349,10 +354,22 @@ let decode_shard b ~pos =
   | 'Z' -> Sh_close
   | c -> failwith (Printf.sprintf "wire: bad shard tag %C" c)
 
-let write_shard ?deadline fd msg =
-  let buf = Buffer.create 64 in
-  encode_shard buf msg;
-  write_frame ?deadline fd buf
+(* Every message becomes its own frame (the byte stream is what separate
+   [write_shard] calls would produce), but all of them go out in one
+   [write]: one syscall and one TCP segment per flush. *)
+let write_shards ?deadline fd msgs =
+  if msgs <> [] then begin
+    let out = Buffer.create 256 and payload = Buffer.create 64 in
+    List.iter
+      (fun msg ->
+        Buffer.clear payload;
+        encode_shard payload msg;
+        add_frame out payload)
+      msgs;
+    really_write ?deadline fd (Buffer.to_bytes out)
+  end
+
+let write_shard ?deadline fd msg = write_shards ?deadline fd [ msg ]
 
 let read_shard ?deadline fd =
   match read_frame ?deadline fd ~allow_eof:true with

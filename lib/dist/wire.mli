@@ -78,5 +78,11 @@ val decode_shard : bytes -> pos:int ref -> shard_msg
 
 val write_shard : ?deadline:float -> Unix.file_descr -> shard_msg -> unit
 
+val write_shards :
+  ?deadline:float -> Unix.file_descr -> shard_msg list -> unit
+(** One frame per message, byte-for-byte what successive {!write_shard}
+    calls would send, handed to the kernel in one [write] (a short write
+    continues with the rest). No-op on [[]]. *)
+
 val read_shard : ?deadline:float -> Unix.file_descr -> shard_msg option
 (** [None] on clean EOF. *)

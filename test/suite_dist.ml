@@ -151,15 +151,26 @@ let bridged_over_tcp () =
      collide on a hardcoded number *)
   let listener = Bridge.listen_local ~port:0 () in
   let port = Bridge.bound_port listener in
+  (* Nagle must be off on both ends: with it on, every small frame sent
+     while the previous one is unacknowledged waits ~40 ms for the peer's
+     delayed ACK *)
+  let nodelay what fd =
+    Alcotest.(check bool) (what ^ " has TCP_NODELAY") true
+      (Unix.getsockopt fd Unix.TCP_NODELAY)
+  in
   let acceptor =
     Task.spawn (fun () ->
         let fd1 = Bridge.accept_one listener in
+        nodelay "accepted fd" fd1;
         ignore (Bridge.serve_outport (Connector.outport conn a) fd1);
         let fd2 = Bridge.accept_one listener in
+        nodelay "accepted fd" fd2;
         ignore (Bridge.serve_inport (Connector.inport conn b) fd2))
   in
   let c1 = Bridge.connect_local ~retries:3 ~port () in
   let c2 = Bridge.connect_local ~retries:3 ~port () in
+  nodelay "connected fd" c1;
+  nodelay "connected fd" c2;
   Task.join acceptor;
   let rout = Bridge.remote_outport c1 and rin = Bridge.remote_inport c2 in
   Bridge.send rout (Value.pair (Value.int 1) (Value.str "tcp"));

@@ -167,6 +167,25 @@ let journal_count dir ch =
 
 let expected_ints n = List.init n Value.int
 
+(* Sends [0 .. n-1] on tl[0], pausing before value n/2 until [resume] is
+   set. A kill test sets it right after the SIGKILL, so the second half of
+   the stream can only arrive through the respawned worker: the kill lands
+   mid-stream however fast the wire is. *)
+let gated_producer h ~n ~resume =
+  Thread.create
+    (fun () ->
+      let p = Shard.outport_at h "tl" 0 in
+      try
+        for k = 0 to n - 1 do
+          if k = n / 2 then
+            while not (Atomic.get resume) do
+              Thread.delay 0.005
+            done;
+          Preo_runtime.Port.send p (Value.int k)
+        done
+      with Engine.Poisoned _ -> ())
+    ()
+
 let check_journal_exact dir ch n =
   let vs = Shard.read_journal (Shard.journal_path ~dir ~ch) in
   Alcotest.(check int) (Printf.sprintf "journal ch%d length" ch) n (List.length vs);
@@ -279,21 +298,13 @@ let kill_and_replay () =
       ~lengths:[ ("hd", branches) ]
       ()
   in
-  let producer =
-    Thread.create
-      (fun () ->
-        let p = Shard.outport_at h "tl" 0 in
-        try
-          for k = 0 to n - 1 do
-            Preo_runtime.Port.send p (Value.int k)
-          done
-        with Engine.Poisoned _ -> ())
-      ()
-  in
+  let resume = Atomic.make false in
+  let producer = gated_producer h ~n ~resume in
   (* let the stream get going, then kill the worker mid-flight *)
   wait_for ~timeout:20.0 ~what:"stream underway" (fun () ->
       List.exists (fun ch -> journal_count dir ch >= 20) (List.init branches Fun.id));
   Shard.kill_worker h 1;
+  Atomic.set resume true;
   (* the manager respawns it; the replacement resumes from its journals and
      the stream completes with no loss and no duplication *)
   wait_for ~timeout:30.0 ~what:"journals complete after respawn" (fun () ->
@@ -339,20 +350,12 @@ let kill_no_journal_resumes () =
       ~lengths:[ ("hd", branches) ]
       ()
   in
-  let producer =
-    Thread.create
-      (fun () ->
-        let p = Shard.outport_at h "tl" 0 in
-        try
-          for k = 0 to n - 1 do
-            Preo_runtime.Port.send p (Value.int k)
-          done
-        with Engine.Poisoned _ -> ())
-      ()
-  in
+  let resume = Atomic.make false in
+  let producer = gated_producer h ~n ~resume in
   wait_for ~timeout:20.0 ~what:"stream underway" (fun () ->
       Atomic.get Shard_stats.acks > a0 + 20);
   Shard.kill_worker h 1;
+  Atomic.set resume true;
   (* every value must eventually be consumed and acknowledged: the acked
      counter only advances on worker pops, so reaching branches * n proves
      the replacement resumed at the host's replay position *)
@@ -362,6 +365,61 @@ let kill_no_journal_resumes () =
   ignore (Shard.shutdown h);
   Alcotest.(check bool) "a reconnect was recorded" true
     (Atomic.get Shard_stats.reconnects > r0)
+
+(* --- end-to-end: closed-loop round trips are not stalled by the transport ---- *)
+
+(* Every value leaves the host through a fifo, is incremented on the
+   worker, and comes back through a fifo. *)
+let echo_src =
+  {|Echo(tl[];hd[]) =
+  prod (i:1..#tl) Fifo1(tl[i];a[i])
+  mult prod (i:1..#tl) Transform<incr>(a[i];b[i])
+  mult prod (i:1..#tl) Fifo1(b[i];hd[i])|}
+
+(* One value in flight at a time, so nothing can be coalesced and every
+   hop is a lone small frame. Each hop that waits on the peer's delayed ACK
+   (~40 ms on Linux loopback when Nagle is on) makes 200 round trips take
+   many seconds; the 2 s bound allows 10 ms per round trip. *)
+let closed_loop_echo () =
+  let rounds = 200 and domains = 2 and budget = 2.0 in
+  let lengths = [ ("tl", 1); ("hd", 1) ] in
+  let boundary =
+    Shard.boundary_regions ~domains ~source:echo_src ~name:"Echo" ~lengths ()
+    |> List.concat_map (fun (_, a) -> Array.to_list a)
+  in
+  let h =
+    Shard.host ~domains ~nworkers:1
+      ~place:(fun r -> if List.mem r boundary then 0 else 1)
+      ~workloads:(fun _ -> [])
+      ~source:echo_src ~name:"Echo" ~lengths ()
+  in
+  let tl = Shard.outport_at h "tl" 0 and hd = Shard.inport_at h "hd" 0 in
+  (* the first round trip waits for the worker to spawn and connect *)
+  Preo_runtime.Port.send tl (Value.int 0);
+  ignore (Preo_runtime.Port.recv hd);
+  let t0 = Unix.gettimeofday () in
+  let rec go k =
+    if k < rounds then begin
+      Preo_runtime.Port.send tl (Value.int k);
+      let got = Preo_runtime.Port.recv hd in
+      if not (Value.equal got (Value.int (k + 1))) then
+        Alcotest.failf "round trip %d returned %s" k (Value.to_string got);
+      (* stop early on a stalled wire instead of running out the clock *)
+      if Unix.gettimeofday () -. t0 < budget then go (k + 1) else k + 1
+    end
+    else k
+  in
+  let done_ = go 0 in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  let statuses = Shard.shutdown h in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d round trips in %.3fs (bound %.1fs)" done_ elapsed budget)
+    true
+    (done_ = rounds && elapsed < budget);
+  List.iter
+    (fun (pid, st) ->
+      if st <> Unix.WEXITED 0 then Alcotest.failf "worker %d did not exit 0" pid)
+    statuses
 
 (* --- end-to-end: retry budget exhausted => structured poison, no hang -------- *)
 
@@ -441,6 +499,7 @@ let tests =
     ("journal recovery truncates torn tail", `Quick, journal_recovery);
     ("shard stats surface in Connector.stats", `Quick, stats_surface);
     ("two workers stream with batching", `Slow, two_workers_stream);
+    ("closed-loop echo: 200 round trips under 2 s", `Slow, closed_loop_echo);
     ("worker killed mid-stream: exactly-once replay", `Slow, kill_and_replay);
     ("worker killed without journals: resumes from shipped floor", `Slow,
      kill_no_journal_resumes);
