@@ -31,8 +31,7 @@ let micro_families =
    domain pool of --domains workers (default 2). new-partitioned-mc is the
    multicore row of the evaluation. The last field is the port-task batch
    size: the -b8 rows drive every port through the batch API (8 values per
-   submission burst), exercising the MPSC submission queues and the
-   engines' self-loop replay. *)
+   submission burst), exercising the MPSC submission queues. *)
 let micro_configs =
   [
     ("new-jit", Preo_runtime.Config.new_jit, `One, 1);
@@ -646,16 +645,16 @@ let stats_json (st : Preo_runtime.Connector.stats) =
        \"st_cand_hits\": %d, \"st_stalls\": %d, \"st_wakes_targeted\": %d, \
        \"st_wakes_spurious\": %d, \"st_wakes_broadcast\": %d, \
        \"st_mpsc_ops\": %d, \"st_mpsc_batches\": %d, \"st_mpsc_fast\": %d, \
-       \"st_batch_fires\": %d, \"st_splices\": %d, \"st_color_rounds\": %d, \
-       \"st_color_iters\": %d, \"st_compiled_fires\": %d, \
-       \"st_interp_fires\": %d, \"st_regions_fused\": %d, \
+       \"st_splices\": %d, \"st_color_rounds\": %d, \"st_color_iters\": %d, \
+       \"st_compiled_fires\": %d, \"st_interp_fires\": %d, \
+       \"st_regions_fused\": %d, \
        \"st_shard_batches\": %d, \"st_shard_items\": %d, \
        \"st_shard_acks\": %d, \"st_shard_reconnects\": %d}"
       st.st_steps st.st_regions st.st_domains st.st_expansions st.st_cache_hits
       st.st_cache_evictions st.st_compile_seconds st.st_solver_calls
       st.st_cond_waits st.st_peer_kicks st.st_cand_hits st.st_stalls
       st.st_wakes_targeted st.st_wakes_spurious st.st_wakes_broadcast
-      st.st_mpsc_ops st.st_mpsc_batches st.st_mpsc_fast st.st_batch_fires
+      st.st_mpsc_ops st.st_mpsc_batches st.st_mpsc_fast
       st.st_splices st.st_color_rounds st.st_color_iters st.st_compiled_fires
       st.st_interp_fires st.st_regions_fused st.st_shard_batches
       st.st_shard_items st.st_shard_acks st.st_shard_reconnects)
@@ -1121,17 +1120,16 @@ let micro_steps opts =
                        string_of_int st.st_wakes_broadcast;
                        string_of_int st.st_mpsc_ops;
                        string_of_int st.st_mpsc_fast;
-                       string_of_int st.st_batch_fires;
                        string_of_int st.st_compiled_fires;
                        string_of_int st.st_interp_fires;
                        string_of_int st.st_regions_fused ]
                  else [])
             | Preo_connectors.Driver.Compile_failed _ ->
               [ fname; string_of_int n; cname; "COMPILE-FAIL" ]
-              @ (if opts.detail then List.init 13 (fun _ -> "-") else [])
+              @ (if opts.detail then List.init 12 (fun _ -> "-") else [])
             | Preo_connectors.Driver.Run_failed _ ->
               [ fname; string_of_int n; cname; "RUN-FAIL" ]
-              @ (if opts.detail then List.init 13 (fun _ -> "-") else []))
+              @ (if opts.detail then List.init 12 (fun _ -> "-") else []))
           micro_configs)
       micro_families
   in
@@ -1139,7 +1137,7 @@ let micro_steps opts =
     [ "family"; "N"; "config"; "steps/s" ]
     @ (if opts.detail then
          [ "solves"; "waits"; "kicks"; "cand-hits"; "wakes-t"; "wakes-sp";
-           "wakes-b"; "mpsc"; "fast"; "bfires"; "cfires"; "ifires"; "fused" ]
+           "wakes-b"; "mpsc"; "fast"; "cfires"; "ifires"; "fused" ]
        else [])
   in
   Tablefmt.print ~header rows;

@@ -282,7 +282,7 @@ let execute t env =
    [None] and the interpreter keeps late-binding it per evaluation. *)
 
 type compiled = {
-  k_nguards : int;  (** residual (unfolded) guards; 0 = batchable *)
+  k_nguards : int;  (** residual (unfolded) guards *)
   k_fire : env -> bool;
       (** check the residual guards; when they hold, execute the moves
           (through [env], so writes stage wherever the caller stages them)

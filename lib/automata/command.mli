@@ -73,7 +73,7 @@ val fire_compiled : compiled -> env -> bool
 val compiled_nguards : compiled -> int
 (** Number of guards that survived constant folding — tests whose verdict
     can still change between firings. 0 means unconditionally enabled
-    (modulo synchronization), which the engine's batching relies on. *)
+    (modulo synchronization). *)
 
 val execute : t -> env -> unit
 (** Run the moves: all source values are read first, then all writes and

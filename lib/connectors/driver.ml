@@ -13,7 +13,7 @@ type outcome =
 (* [batch > 1] hammers each port with the batch API instead of one
    blocking op at a time: one lock-free publication burst and at most one
    park per [batch] values — the submission pattern the engines' MPSC
-   queues and self-loop replay exist to amortize. *)
+   queues exist to amortize. *)
 let port_threads ?(batch = 1) inst =
   let bodies = ref [] in
   List.iter

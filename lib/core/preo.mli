@@ -173,8 +173,8 @@ val last_stall : instance -> Engine.stall_report option
     When tracing is enabled — here or via the [PREO_TRACE] environment
     variable — every engine records firings, port-operation lifecycles, JIT
     expansions, stalls and poisonings into a fixed-size ring; partition
-    bridges and process bridges record slot traffic and RPC spans. When it
-    is off (the default), the runtime pays one branch per recording site. *)
+    bridges record slot traffic. When it is off (the default), the runtime
+    pays one branch per recording site. *)
 
 val set_tracing : bool -> unit
 val tracing_enabled : unit -> bool

@@ -1,6 +1,6 @@
 (* Sharded connector fabric: run a partitioned connector's regions in
    separate OS processes, with the cross-process cut queues carried over
-   bridge sockets.
+   loopback TCP sockets.
 
    The partition plan is the contract. [Partition.split] assigns region and
    cut indices deterministically for a given (mediums, domains,
@@ -16,10 +16,10 @@
      keeps it buffered until acknowledged; the sender thread coalesces all
      values queued since the last flush into ONE [Sh_batch] frame per
      channel, and writes every frame the flush owes (batches, acks, poison,
-     close) with ONE [write]. On the [TCP_NODELAY] sockets the bridge
-     helpers create, that write leaves as soon as it is made: a hand-off
-     costs one syscall and one segment, never a wait for the peer's
-     delayed ACK;
+     close) with ONE [write]. On the [TCP_NODELAY] sockets that
+     [Wire.connect_local]/[Wire.accept_one] create, that write leaves as
+     soon as it is made: a hand-off costs one syscall and one segment,
+     never a wait for the peer's delayed ACK;
    - the producer gate reports ready only while unacknowledged items are
      below the channel window, so a slow or dead shard parks the producer
      region instead of ballooning memory (backpressure);
@@ -629,7 +629,7 @@ let spawn_worker h lk =
    every later link failure into a silent hello-timeout grind. *)
 let accept_loop h =
   let rec loop () =
-    match Bridge.accept_one h.h_listener with
+    match Wire.accept_one h.h_listener with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
       ()  (* listener closed: shutting down *)
@@ -959,9 +959,9 @@ let host ?(window = 1024) ?domains ?compile ?(retries = 3) ?(backoff = 0.25)
     shard_err "shard: placement plan mismatch (%d regions vs %d)"
       (Connector.plan_regions conn) nregions;
   set_kicks conn (List.map (fun (_, c, _) -> c) chans);
-  let listener = Bridge.listen_local ~port:0 () in
+  let listener = Wire.listen_local ~port:0 () in
   (try Unix.set_close_on_exec listener with _ -> ());
-  let port = Bridge.bound_port listener in
+  let port = Wire.bound_port listener in
   (* The per-worker configuration frame, rebuilt at every (re)connect so
      resume floors reflect the host's current consume and ack positions. *)
   let cfg_for w =
@@ -1123,7 +1123,7 @@ let shutdown h =
      self-connection covers platforms where it does not. *)
   (try Unix.shutdown h.h_listener Unix.SHUTDOWN_ALL with _ -> ());
   (try
-     let fd = Bridge.connect_local ~port:h.h_port () in
+     let fd = Wire.connect_local ~port:h.h_port () in
      Unix.close fd
    with _ -> ());
   (try Unix.close h.h_listener with _ -> ());
@@ -1266,7 +1266,7 @@ let run_workload conn bindings = function
       w_indices
 
 let worker_main ?(retries = 100) ?(backoff = 0.05) ~port ~token () =
-  let fd = Bridge.connect_local ~retries ~backoff ~port () in
+  let fd = Wire.connect_local ~retries ~backoff ~port () in
   Wire.write_shard fd (Wire.Sh_hello { token });
   let cfg =
     match Wire.read_shard ~deadline:(Unix.gettimeofday () +. 30.0) fd with

@@ -2,7 +2,7 @@
 
     Partition a connector's regions across worker processes: each
     cross-process cut of the {!Preo_runtime.Partition} plan becomes a
-    batched, backpressured, exactly-once wire channel over a local bridge
+    batched, backpressured, exactly-once wire channel over a loopback TCP
     socket. The host (process 0) owns the boundary ports and the worker
     lifecycle; workers are [preoc worker] processes that rebuild the same
     plan from the same DSL source and run only their assigned regions.

@@ -1,5 +1,12 @@
 open Preo_support
 
+(* Writing to a peer that already closed must surface as EPIPE, not kill the
+   process: shard senders write to sockets whose worker may have died. *)
+let () =
+  match Sys.os_type with
+  | "Unix" -> (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
+  | _ -> ()
+
 (* --- Value encoding ------------------------------------------------------- *)
 
 let add_int64 buf (x : int64) =
@@ -164,13 +171,9 @@ let add_frame out payload =
   add_int out (Buffer.length payload);
   Buffer.add_buffer out payload
 
-let write_frame ?deadline fd buf =
-  let out = Buffer.create (8 + Buffer.length buf) in
-  add_frame out buf;
-  really_write ?deadline fd (Buffer.to_bytes out)
-
-let read_frame ?deadline fd ~allow_eof =
-  match really_read ?deadline fd 8 ~allow_eof with
+(* [None] on EOF at a frame boundary. *)
+let read_frame ?deadline fd =
+  match really_read ?deadline fd 8 ~allow_eof:true with
   | None -> None
   | Some header ->
     let pos = ref 0 in
@@ -179,92 +182,6 @@ let read_frame ?deadline fd ~allow_eof =
     (match really_read ?deadline fd n ~allow_eof:false with
      | Some payload -> Some payload
      | None -> assert false)
-
-(* --- Messages --------------------------------------------------------------- *)
-
-type request = Req_send of Value.t | Req_recv | Req_close
-type response = Resp_ok | Resp_value of Value.t | Resp_error of string
-
-type span = { sp_corr : int; sp_span : int }
-
-(* A traced request frame carries a 'T' header (correlation id + span id)
-   before the request tag; untraced frames start directly at the tag, so the
-   two framings coexist on one connection and tracing can be toggled
-   per-request. *)
-let write_request ?deadline ?span fd req =
-  let buf = Buffer.create 32 in
-  (match span with
-   | Some { sp_corr; sp_span } ->
-     Buffer.add_char buf 'T';
-     add_int buf sp_corr;
-     add_int buf sp_span
-   | None -> ());
-  (match req with
-   | Req_send v ->
-     Buffer.add_char buf 'S';
-     encode_value buf v
-   | Req_recv -> Buffer.add_char buf 'R'
-   | Req_close -> Buffer.add_char buf 'C');
-  write_frame ?deadline fd buf
-
-let read_request_traced ?deadline fd =
-  match read_frame ?deadline fd ~allow_eof:true with
-  | None -> None
-  | Some b ->
-    let pos = ref 0 in
-    need b pos 1;
-    let span =
-      if Bytes.get b !pos = 'T' then begin
-        incr pos;
-        need b pos 16;
-        let sp_corr = get_int b ~pos in
-        let sp_span = get_int b ~pos in
-        Some { sp_corr; sp_span }
-      end
-      else None
-    in
-    need b pos 1;
-    let tag = Bytes.get b !pos in
-    incr pos;
-    (match tag with
-     | 'S' -> Some (Req_send (decode_value b ~pos), span)
-     | 'R' -> Some (Req_recv, span)
-     | 'C' -> Some (Req_close, span)
-     | c -> failwith (Printf.sprintf "wire: bad request tag %C" c))
-
-let read_request ?deadline fd =
-  Option.map fst (read_request_traced ?deadline fd)
-
-let write_response ?deadline fd resp =
-  let buf = Buffer.create 32 in
-  (match resp with
-   | Resp_ok -> Buffer.add_char buf 'O'
-   | Resp_value v ->
-     Buffer.add_char buf 'V';
-     encode_value buf v
-   | Resp_error msg ->
-     Buffer.add_char buf 'E';
-     add_int buf (String.length msg);
-     Buffer.add_string buf msg);
-  write_frame ?deadline fd buf
-
-let read_response ?deadline fd =
-  match read_frame ?deadline fd ~allow_eof:false with
-  | None -> assert false
-  | Some b ->
-    let pos = ref 0 in
-    need b pos 1;
-    let tag = Bytes.get b !pos in
-    incr pos;
-    (match tag with
-     | 'O' -> Resp_ok
-     | 'V' -> Resp_value (decode_value b ~pos)
-     | 'E' ->
-       need b pos 8;
-       let n = get_int b ~pos in
-       need b pos n;
-       Resp_error (Bytes.sub_string b !pos n)
-     | c -> failwith (Printf.sprintf "wire: bad response tag %C" c))
 
 (* --- Shard fabric messages -------------------------------------------------- *)
 
@@ -372,8 +289,59 @@ let write_shards ?deadline fd msgs =
 let write_shard ?deadline fd msg = write_shards ?deadline fd [ msg ]
 
 let read_shard ?deadline fd =
-  match read_frame ?deadline fd ~allow_eof:true with
+  match read_frame ?deadline fd with
   | None -> None
   | Some b ->
     let pos = ref 0 in
     Some (decode_shard b ~pos)
+
+(* --- Loopback sockets ---------------------------------------------------------- *)
+
+let listen_local ~port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.listen fd 64;
+  fd
+
+(* With [listen_local ~port:0] the kernel picks a free port; this reads it
+   back, so tests and multi-service hosts need no hardcoded port numbers. *)
+let bound_port fd =
+  match Unix.getsockname fd with
+  | Unix.ADDR_INET (_, port) -> port
+  | Unix.ADDR_UNIX _ -> invalid_arg "Wire.bound_port: not an inet socket"
+
+(* Nagle off on every fabric socket (see the interface for why). Best
+   effort: a socket the peer already reset may refuse the option, and that
+   failure surfaces on its first read or write instead. *)
+let set_nodelay fd =
+  try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
+
+let accept_one fd =
+  let s, _ = Unix.accept fd in
+  set_nodelay s;
+  s
+
+let connect_local ?(retries = 0) ?(backoff = 0.05) ~port () =
+  let fd () = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  (* A listener that is still starting up is transient: retry with
+     exponential backoff, bounded so a genuinely dead peer fails fast. The
+     delay is capped at 1 s so a large retry budget bounds the total wait
+     at ~retries seconds rather than growing geometrically. *)
+  let rec go n delay =
+    let s = fd () in
+    match Unix.connect s addr with
+    | () ->
+      set_nodelay s;
+      s
+    | exception Unix.Unix_error ((ECONNREFUSED | ECONNRESET | EINTR), _, _)
+      when n < retries ->
+      (try Unix.close s with _ -> ());
+      Thread.delay delay;
+      go (n + 1) (Float.min 1.0 (delay *. 2.0))
+    | exception e ->
+      (try Unix.close s with _ -> ());
+      raise e
+  in
+  go 0 backoff

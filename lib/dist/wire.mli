@@ -1,4 +1,5 @@
-(** Wire format for port operations across process boundaries.
+(** Wire format and sockets of the sharded connector fabric
+    ({!module:Shard}).
 
     Values are encoded with a self-describing binary format (no [Marshal],
     so the two endpoints need not run the same binary); every message is a
@@ -8,7 +9,10 @@
     [EINTR] so a signal cannot corrupt the stream framing.
 
     All I/O entry points take an optional [deadline] (absolute Unix time);
-    when the descriptor is not ready in time, {!Timeout} is raised. *)
+    when the descriptor is not ready in time, {!Timeout} is raised.
+
+    Loading this module ignores [SIGPIPE]: a write to a peer that already
+    died surfaces as [EPIPE] instead of killing the process. *)
 
 open Preo_support
 
@@ -18,37 +22,6 @@ exception Timeout
 val encode_value : Buffer.t -> Value.t -> unit
 val decode_value : bytes -> pos:int ref -> Value.t
 (** Raises [Failure] on malformed input. *)
-
-type request =
-  | Req_send of Value.t  (** complete a send on the bridged outport *)
-  | Req_recv  (** complete a receive on the bridged inport *)
-  | Req_close
-
-type response =
-  | Resp_ok
-  | Resp_value of Value.t
-  | Resp_error of string
-
-type span = { sp_corr : int; sp_span : int }
-(** Trace identity of one RPC: the client process's correlation ID plus a
-    per-RPC span ID, carried inside the request frame (as a ['T'] header
-    before the request tag) so traces exported on both sides of a bridge
-    merge on a shared correlation. *)
-
-val write_request :
-  ?deadline:float -> ?span:span -> Unix.file_descr -> request -> unit
-
-val read_request : ?deadline:float -> Unix.file_descr -> request option
-(** [None] on clean EOF. Accepts traced and untraced frames (any span is
-    dropped). *)
-
-val read_request_traced :
-  ?deadline:float -> Unix.file_descr -> (request * span option) option
-(** Like {!read_request} but also returns the trace span, if the frame
-    carried one. *)
-
-val write_response : ?deadline:float -> Unix.file_descr -> response -> unit
-val read_response : ?deadline:float -> Unix.file_descr -> response
 
 (** Messages of the sharded connector fabric (see {!module:Shard}). One
     connection carries all cut channels between two processes; [Sh_batch]
@@ -86,3 +59,30 @@ val write_shards :
 
 val read_shard : ?deadline:float -> Unix.file_descr -> shard_msg option
 (** [None] on clean EOF. *)
+
+(** {1 Loopback sockets} *)
+
+val listen_local : port:int -> unit -> Unix.file_descr
+(** Bind+listen on 127.0.0.1 with [SO_REUSEADDR] (so rapid re-binds in tests
+    do not hit [EADDRINUSE]) and a backlog of 64 (a shard host accepting
+    several workers at once must not refuse the burst). [~port:0] lets the
+    kernel pick a free port — read it back with {!bound_port}. *)
+
+val bound_port : Unix.file_descr -> int
+(** The actual local port of a bound socket (via [getsockname]). *)
+
+val accept_one : Unix.file_descr -> Unix.file_descr
+(** Accept one connection and set [TCP_NODELAY] on it. Errors from
+    [accept] propagate unchanged. *)
+
+val connect_local :
+  ?retries:int -> ?backoff:float -> port:int -> unit -> Unix.file_descr
+(** Connect to 127.0.0.1:[port] and set [TCP_NODELAY] on the socket. A
+    refused connection (listener still starting) is retried up to [retries]
+    times with exponentially growing [backoff] (initial delay, default
+    50ms, capped at 1 s); default is no retry.
+
+    Both TCP constructors disable Nagle's algorithm because every frame on
+    these sockets is a small message the peer is blocked on: with Nagle on,
+    a frame sent while the previous one is unacknowledged waits for the
+    peer's delayed ACK (~40 ms on Linux loopback). *)

@@ -1,10 +1,10 @@
 (* Trace sinks: render the recorded rings as a human-readable dump or as
    Chrome trace-event JSON (the format Perfetto / chrome://tracing load).
 
-   Lane model: every ring (engine, partition bridge, RPC side) is one
-   synthetic "thread" of this process, and every OS thread observed in
-   port-operation events gets its own task lane. Blocking operations become
-   duration ("X") slices from submit to complete, with their park/wake span
+   Lane model: every ring (engine, partition bridge) is one synthetic
+   "thread" of this process, and every OS thread observed in port-operation
+   events gets its own task lane. Blocking operations become duration ("X")
+   slices from submit to complete or abort, with their park/wake span
    nested inside; everything else is an instant event. *)
 
 let vname v = !Obs.vertex_namer v
@@ -31,14 +31,11 @@ let dump ?rings () =
               Printf.sprintf "sync=%d%s" e.e_a
                 (if e.e_b >= 0 then " at=" ^ vname e.e_b else "")
             | Obs.Submit_send | Obs.Submit_recv | Obs.Park | Obs.Wake
-            | Obs.Complete_send | Obs.Complete_recv | Obs.Stall ->
+            | Obs.Complete_send | Obs.Complete_recv | Obs.Stall | Obs.Abort ->
               Printf.sprintf "%s tid=%d" (vname e.e_a) e.e_b
             | Obs.Expansion -> Printf.sprintf "total=%d new=%d" e.e_a e.e_b
             | Obs.Poison -> ""
             | Obs.Slot_put | Obs.Slot_take -> vname e.e_a
-            | Obs.Rpc_client_start | Obs.Rpc_client_end | Obs.Rpc_server_start
-            | Obs.Rpc_server_end ->
-              Printf.sprintf "span=%d corr=%d" e.e_a e.e_b
             | Obs.Wake_targeted ->
               Printf.sprintf "%s parked=%d" (vname e.e_a) e.e_b
             | Obs.Wake_broadcast -> Printf.sprintf "waiters=%d" e.e_a
@@ -64,14 +61,12 @@ type out_event = {
 
 let categories_of_kind = function
   | Obs.Fire | Obs.Expansion | Obs.Poison -> "engine"
-  | Obs.Submit_send | Obs.Submit_recv | Obs.Complete_send | Obs.Complete_recv ->
+  | Obs.Submit_send | Obs.Submit_recv | Obs.Complete_send | Obs.Complete_recv
+  | Obs.Abort ->
     "port"
   | Obs.Park | Obs.Wake | Obs.Wake_targeted | Obs.Wake_broadcast -> "sched"
   | Obs.Stall -> "stall"
   | Obs.Slot_put | Obs.Slot_take -> "bridge"
-  | Obs.Rpc_client_start | Obs.Rpc_client_end | Obs.Rpc_server_start
-  | Obs.Rpc_server_end ->
-    "rpc"
 
 let chrome ?rings () =
   let rings = match rings with Some rs -> rs | None -> Obs.rings () in
@@ -110,10 +105,9 @@ let chrome ?rings () =
           o_tid = lane;
           o_args = [ ("name", Printf.sprintf "\"%s\"" (Json.escape (Obs.ring_label r))) ];
         };
-      (* Pending submit / park / rpc-start events awaiting their partner. *)
+      (* Pending submit / park events awaiting their partner. *)
       let pending_op : (int * int * bool, float) Hashtbl.t = Hashtbl.create 16 in
       let pending_park : (int, float) Hashtbl.t = Hashtbl.create 16 in
-      let pending_rpc : (int, float * string) Hashtbl.t = Hashtbl.create 16 in
       (* Per-lane clamp so exported instants are non-decreasing even if the
          system clock stepped mid-trace. *)
       let last = ref neg_infinity in
@@ -136,6 +130,24 @@ let chrome ?rings () =
             o_dur = 0.0;
             o_tid = tid;
             o_args = ("s", "\"t\"") :: dom_arg () :: args;
+          }
+      in
+      (* A port operation from its submit to its completion or abort, on
+         the lane of the task thread that issued it. *)
+      let op_slice name (e : Obs.event) start ts =
+        push
+          {
+            o_name = name;
+            o_cat = "port";
+            o_ph = "X";
+            o_ts = us start;
+            o_dur = Float.max 0.01 (us ts -. us start);
+            o_tid = e.e_b;
+            o_args =
+              [
+                ("vertex", Printf.sprintf "\"%s\"" (Json.escape (vname e.e_a)));
+                dom_arg ();
+              ];
           }
       in
       List.iter
@@ -196,50 +208,28 @@ let chrome ?rings () =
                  e.e_kind ts
              | Some start ->
                Hashtbl.remove pending_op (e.e_b, e.e_a, is_send);
-               push
-                 {
-                   o_name = opname ^ " " ^ vname e.e_a;
-                   o_cat = "port";
-                   o_ph = "X";
-                   o_ts = us start;
-                   o_dur = Float.max 0.01 (us ts -. us start);
-                   o_tid = e.e_b;
-                   o_args =
-                     [
-                       ("vertex", Printf.sprintf "\"%s\"" (Json.escape (vname e.e_a)));
-                       dom_arg ();
-                     ];
-                 })
+               op_slice (opname ^ " " ^ vname e.e_a) e start ts)
+          | Obs.Abort ->
+            (* A thread has at most one operation in flight, so the
+               direction needs no recording: close whichever is pending. *)
+            task_lane ~dom:e.e_dom e.e_b;
+            List.iter
+              (fun is_send ->
+                match Hashtbl.find_opt pending_op (e.e_b, e.e_a, is_send) with
+                | None -> ()
+                | Some start ->
+                  Hashtbl.remove pending_op (e.e_b, e.e_a, is_send);
+                  op_slice
+                    ((if is_send then "send " else "recv ") ^ vname e.e_a
+                     ^ " (aborted)")
+                    e start ts)
+              [ true; false ]
           | Obs.Stall ->
             task_lane ~dom:e.e_dom e.e_b;
-            instant ~tid:e.e_b ("stall " ^ vname e.e_a) Obs.Stall ts
-          | Obs.Rpc_client_start | Obs.Rpc_server_start ->
-            let side =
-              if e.e_kind = Obs.Rpc_client_start then "rpc-client" else "rpc-server"
-            in
-            Hashtbl.replace pending_rpc e.e_a (ts, side)
-          | Obs.Rpc_client_end | Obs.Rpc_server_end -> begin
-            let corr_args =
-              [ ("span", string_of_int e.e_a); ("corr", string_of_int e.e_b) ]
-            in
-            match Hashtbl.find_opt pending_rpc e.e_a with
-            | None -> instant "rpc" e.e_kind ts ~args:corr_args
-            | Some (start, side) ->
-              Hashtbl.remove pending_rpc e.e_a;
-              push
-                {
-                  o_name = side;
-                  o_cat = "rpc";
-                  o_ph = "X";
-                  o_ts = us start;
-                  o_dur = Float.max 0.01 (us ts -. us start);
-                  o_tid = lane;
-                  o_args = corr_args;
-                }
-          end)
+            instant ~tid:e.e_b ("stall " ^ vname e.e_a) Obs.Stall ts)
         (Obs.events r);
-      (* Whatever is still pending at export time (blocked ops, in-flight
-         RPCs) surfaces as instants so nothing silently disappears. *)
+      (* Ops still pending at export time are blocked right now: they
+         surface as instants so nothing silently disappears. *)
       Hashtbl.iter
         (fun (tid, v, is_send) start ->
           task_lane tid;
@@ -247,12 +237,7 @@ let chrome ?rings () =
             ((if is_send then "blocked send " else "blocked recv ") ^ vname v)
             (if is_send then Obs.Submit_send else Obs.Submit_recv)
             start)
-        pending_op;
-      Hashtbl.iter
-        (fun span (start, side) ->
-          instant (side ^ " (in flight)") Obs.Rpc_client_start start
-            ~args:[ ("span", string_of_int span) ])
-        pending_rpc)
+        pending_op)
     rings;
   Hashtbl.iter
     (fun tid dom ->

@@ -10,6 +10,6 @@ val dump : ?rings:Obs.ring list -> unit -> string
 val chrome : ?rings:Obs.ring list -> unit -> string
 (** Chrome trace-event JSON (loadable in Perfetto / [chrome://tracing]).
     One "thread" lane per ring plus one per observed task thread; blocking
-    port operations and RPCs become duration slices, everything else
-    instants. Timestamps are microseconds relative to the earliest recorded
+    port operations become duration slices (ended by completion or by an
+    abort), everything else instants. Timestamps are microseconds relative to the earliest recorded
     event and non-decreasing within each ring lane. *)

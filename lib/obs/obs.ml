@@ -40,35 +40,28 @@ type kind =
   | Poison  (** engine poisoned *)
   | Slot_put  (** partition bridge slot filled; [a] = tail vertex *)
   | Slot_take  (** partition bridge slot drained; [a] = head vertex *)
-  | Rpc_client_start  (** bridge RPC issued; [a] = span id, [b] = correlation *)
-  | Rpc_client_end
-  | Rpc_server_start  (** traced bridge RPC received; [a] = span, [b] = corr *)
-  | Rpc_server_end
+  | Abort  (** blocking op left without completing; [a] = vertex, [b] = tid *)
   | Wake_targeted  (** waker signalled one vertex; [a] = vertex, [b] = parked *)
   | Wake_broadcast  (** waker woke every waiter; [a] = waiter count *)
 
 let kinds =
   [| Fire; Submit_send; Submit_recv; Park; Wake; Complete_send; Complete_recv;
-     Expansion; Stall; Poison; Slot_put; Slot_take; Rpc_client_start;
-     Rpc_client_end; Rpc_server_start; Rpc_server_end; Wake_targeted;
+     Expansion; Stall; Poison; Slot_put; Slot_take; Abort; Wake_targeted;
      Wake_broadcast |]
 
 let kind_index = function
   | Fire -> 0 | Submit_send -> 1 | Submit_recv -> 2 | Park -> 3 | Wake -> 4
   | Complete_send -> 5 | Complete_recv -> 6 | Expansion -> 7 | Stall -> 8
-  | Poison -> 9 | Slot_put -> 10 | Slot_take -> 11 | Rpc_client_start -> 12
-  | Rpc_client_end -> 13 | Rpc_server_start -> 14 | Rpc_server_end -> 15
-  | Wake_targeted -> 16 | Wake_broadcast -> 17
+  | Poison -> 9 | Slot_put -> 10 | Slot_take -> 11 | Abort -> 12
+  | Wake_targeted -> 13 | Wake_broadcast -> 14
 
 let kind_name = function
   | Fire -> "fire" | Submit_send -> "submit-send" | Submit_recv -> "submit-recv"
   | Park -> "park" | Wake -> "wake" | Complete_send -> "complete-send"
   | Complete_recv -> "complete-recv" | Expansion -> "expansion"
   | Stall -> "stall" | Poison -> "poison" | Slot_put -> "slot-put"
-  | Slot_take -> "slot-take" | Rpc_client_start -> "rpc-client-start"
-  | Rpc_client_end -> "rpc-client-end" | Rpc_server_start -> "rpc-server-start"
-  | Rpc_server_end -> "rpc-server-end" | Wake_targeted -> "wake-targeted"
-  | Wake_broadcast -> "wake-broadcast"
+  | Slot_take -> "slot-take" | Abort -> "abort"
+  | Wake_targeted -> "wake-targeted" | Wake_broadcast -> "wake-broadcast"
 
 (* Resolved by the runtime at module-init time (Vertex lives above this
    library in the dependency order). *)
@@ -80,8 +73,8 @@ type ring = {
   name : string;
   lock : Mutex.t option;
       (* engine rings are written under the owning engine's lock and need
-         none; rings shared between threads (bridge slots, RPC lanes)
-         carry their own *)
+         none; rings shared between threads (partition bridge slots) carry
+         their own *)
   cap : int;
   ts : float array;
   ev : int array;
@@ -191,12 +184,10 @@ let reset () =
   registry := [];
   Mutex.unlock registry_lock
 
-(* --- Cross-process span correlation ---------------------------------------- *)
+(* --- Trace correlation ---------------------------------------------------- *)
 
-(* One correlation ID per trace session. The first process to open a traced
-   bridge RPC stamps its correlation into the frame; serving sides record
-   the received ID verbatim, so the Chrome exports of all participating
-   processes can be merged on it. *)
+(* One correlation ID per trace session, written into every Chrome export
+   so the exports of cooperating processes can be merged on it. *)
 
 let correlation_state = ref 0
 
@@ -225,6 +216,3 @@ let correlation () =
   end
 
 let set_correlation id = correlation_state := id
-
-let span_counter = Atomic.make 0
-let next_span () = Atomic.fetch_and_add span_counter 1 + 1

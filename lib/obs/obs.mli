@@ -1,9 +1,9 @@
 (** Structured tracing core: per-lane fixed-size rings of binary events.
 
     The runtime records transition firings, port-operation lifecycles, JIT
-    expansions, stalls, poisonings, partition-bridge slot traffic and bridge
-    RPCs into rings registered here — but only while {!tracing} is set, so
-    the firing fast path pays a single branch when tracing is off. Exporters
+    expansions, stalls, poisonings and partition-bridge slot traffic into
+    rings registered here — but only while {!tracing} is set, so the firing
+    fast path pays a single branch when tracing is off. Exporters
     ({!Export}) turn the rings into human-readable dumps or Chrome
     trace-event JSON; {!Metrics} aggregates counters and latency histograms
     alongside.
@@ -33,10 +33,9 @@ type kind =
   | Poison  (** engine poisoned *)
   | Slot_put  (** partition bridge slot filled; [a] = tail vertex *)
   | Slot_take  (** partition bridge slot drained; [a] = head vertex *)
-  | Rpc_client_start  (** bridge RPC issued; [a] = span id, [b] = correlation *)
-  | Rpc_client_end
-  | Rpc_server_start  (** traced bridge RPC received; [a] = span, [b] = corr *)
-  | Rpc_server_end
+  | Abort
+      (** blocking op left without completing (poisoned, failed, or
+          withdrawn at its deadline); [a] = vertex, [b] = tid *)
   | Wake_targeted
       (** waker-side: signalled the waiters parked on one vertex;
           [a] = vertex, [b] = number of parked operations *)
@@ -93,14 +92,11 @@ val vertex_namer : (int -> string) ref
 
 val set_vertex_namer : (int -> string) -> unit
 
-(** {1 Cross-process span correlation} *)
+(** {1 Trace correlation} *)
 
 val correlation : unit -> int
 (** This process's trace correlation ID: from [PREO_TRACE_CORR], else
-    generated once from pid and clock. Carried inside traced bridge-RPC
-    frames so exports from bridged processes merge on a shared ID. *)
+    generated once from pid and clock. Written into every Chrome export so
+    exports from cooperating processes merge on a shared ID. *)
 
 val set_correlation : int -> unit
-
-val next_span : unit -> int
-(** Fresh span ID for one bridge RPC (unique within this process). *)

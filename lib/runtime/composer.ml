@@ -677,20 +677,6 @@ let compiled_of (x : xtrans) =
 
 let compiling t = t.compile
 
-(* Does [x] leave the composer in the state it entered? Must be asked
-   BEFORE {!commit} — afterwards the current state IS the target, so the
-   test degenerates to true for every transition. The engine's batched
-   firing relies on this: a self-loop stays among the current state's
-   transitions after it commits, so re-firing it needs no fresh candidate
-   scan. *)
-let is_self_loop t (x : xtrans) =
-  match (t.strategy, x.target) with
-  | S_aot s, T_aot target -> target = s.aot_current
-  | S_jit js, T_jit target -> Tuple_key.equal target js.jit_current
-  | S_color cs, T_color moves ->
-    Array.for_all (fun (j, s) -> cs.col_current.(j) = s) moves
-  | _ -> false
-
 let commit t (x : xtrans) =
   match (t.strategy, x.target) with
   | S_aot s, T_aot target -> s.aot_current <- target

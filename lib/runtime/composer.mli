@@ -116,12 +116,6 @@ val commit : t -> xtrans -> unit
 (** Advance the current state. The transition must come from the latest
     {!candidates} call. *)
 
-val is_self_loop : t -> xtrans -> bool
-(** Whether the transition's target is the state it leaves from. Only
-    meaningful {e before} {!commit} (afterwards the current state is the
-    target by definition). Basis of the engine's batched firing: a
-    committed self-loop is still a transition of the current state. *)
-
 val command_of : t -> xtrans -> Command.t option
 (** The executable command of a transition: the precompiled one when label
     optimization is on, otherwise solved — once — on the first firing

@@ -552,7 +552,6 @@ type stats = {
   st_mpsc_ops : int;
   st_mpsc_batches : int;
   st_mpsc_fast : int;
-  st_batch_fires : int;
   st_domains : int;
   st_splices : int;
   st_color_rounds : int;
@@ -590,7 +589,6 @@ let stats t =
     st_mpsc_ops = sum_engines t Engine.mpsc_ops;
     st_mpsc_batches = sum_engines t Engine.mpsc_batches;
     st_mpsc_fast = sum_engines t Engine.mpsc_fast;
-    st_batch_fires = sum_engines t Engine.batch_fires;
     st_domains = t.domains;
     st_splices = Atomic.get t.nsplices;
     st_color_rounds =
@@ -608,8 +606,7 @@ let stats t =
 
 (* Exports cover every lane registered in the process — this connector's
    engines (whose rings are forced into existence so each appears even if it
-   recorded nothing yet) plus shared lanes such as partition bridges and
-   bridge RPCs. *)
+   recorded nothing yet) plus shared lanes such as partition bridges. *)
 let dump_trace t =
   Array.iter (fun e -> ignore (Engine.obs_ring e)) t.engines;
   Preo_obs.Export.dump ()
@@ -622,13 +619,13 @@ let pp_stats ppf s =
   Format.fprintf ppf
     "steps=%d regions=%d domains=%d expansions=%d cache-hits=%d evictions=%d \
      compile=%.3fs solves=%d waits=%d kicks=%d cand-hits=%d stalls=%d \
-     wakes=%d/%d/%d mpsc=%d/%d fast=%d batch-fires=%d splices=%d \
+     wakes=%d/%d/%d mpsc=%d/%d fast=%d splices=%d \
      color-rounds=%d color-iters=%d compiled-fires=%d interp-fires=%d \
      fused=%d shard=%d/%d/%d/%d"
     s.st_steps s.st_regions s.st_domains s.st_expansions s.st_cache_hits
     s.st_cache_evictions s.st_compile_seconds s.st_solver_calls s.st_cond_waits
     s.st_peer_kicks s.st_cand_hits s.st_stalls s.st_wakes_targeted
     s.st_wakes_spurious s.st_wakes_broadcast s.st_mpsc_ops s.st_mpsc_batches
-    s.st_mpsc_fast s.st_batch_fires s.st_splices s.st_color_rounds
+    s.st_mpsc_fast s.st_splices s.st_color_rounds
     s.st_color_iters s.st_compiled_fires s.st_interp_fires s.st_regions_fused
     s.st_shard_batches s.st_shard_items s.st_shard_acks s.st_shard_reconnects

@@ -234,9 +234,6 @@ type stats = {
   st_mpsc_fast : int;
       (** operations completed without the submitting task ever taking an
           engine mutex (lock-free fast path) *)
-  st_batch_fires : int;
-      (** transition firings obtained by replaying a committed guard-free
-          self-loop — firings beyond the one found by a candidate scan *)
   st_domains : int;  (** effective domain count (see {!domains}) *)
   st_splices : int;  (** elastic splices completed (see {!splices}) *)
   st_color_rounds : int;
@@ -274,7 +271,7 @@ val pp_stats : Format.formatter -> stats -> unit
 
     Both exporters render every trace lane registered in the process: this
     connector's engines (one lane each, present even if empty) plus shared
-    lanes — partition-bridge slots and bridge RPCs. Events are recorded only
+    lanes — partition-bridge slots. Events are recorded only
     while tracing is enabled ([Preo.set_tracing] / [PREO_TRACE]). *)
 
 val dump_trace : t -> string

@@ -23,62 +23,6 @@ let m_fires = Metrics.counter ~help:"transitions fired" "transitions_fired_total
 let m_parks = Metrics.counter ~help:"operation parks" "port_parks_total"
 let m_stalls = Metrics.counter ~help:"stall reports" "stalls_total"
 
-(* Diagnostic-only: per-thread stage notes, enabled via PREO_ENGINE_TRACE or
-   set_op_trace. One entry per thread with an in-flight operation; the entry
-   is removed when the operation finishes (normally or by exception), so the
-   table stays bounded by the number of currently blocked tasks instead of
-   growing with every thread ever seen. *)
-let trace_enabled = ref (Sys.getenv_opt "PREO_ENGINE_TRACE" <> None)
-let set_op_trace b = trace_enabled := b
-
-(* Sharded by thread id: stage notes from tasks on different domains no
-   longer serialize on one process-wide mutex. Each shard keeps the
-   single-writer-per-entry discipline (a thread only ever touches its own
-   tid's entry); the shard lock exists for the Hashtbl's sake and for
-   [trace_dump], which walks all shards. *)
-let trace_shards = 16 (* power of two: shard_of uses a mask *)
-
-type trace_shard = { sh_lock : Mutex.t; sh_tbl : (int, string) Hashtbl.t }
-
-let trace_tbl =
-  Array.init trace_shards (fun _ ->
-      { sh_lock = Mutex.create (); sh_tbl = Hashtbl.create 8 })
-
-let shard_of tid = trace_tbl.(tid land (trace_shards - 1))
-
-let trace stage =
-  if !trace_enabled then begin
-    let tid = Thread.id (Thread.self ()) in
-    let sh = shard_of tid in
-    Mutex.lock sh.sh_lock;
-    Hashtbl.replace sh.sh_tbl tid stage;
-    Mutex.unlock sh.sh_lock
-  end
-
-(* Called when an operation leaves the engine for good; the thread has no
-   in-flight op, so its stage note is stale. *)
-let trace_clear () =
-  if !trace_enabled then begin
-    let tid = Thread.id (Thread.self ()) in
-    let sh = shard_of tid in
-    Mutex.lock sh.sh_lock;
-    Hashtbl.remove sh.sh_tbl tid;
-    Mutex.unlock sh.sh_lock
-  end
-
-let trace_dump () =
-  Array.fold_left
-    (fun acc sh ->
-      Mutex.lock sh.sh_lock;
-      let acc =
-        Hashtbl.fold
-          (fun tid stage acc -> acc ^ Printf.sprintf "thread %d: %s\n" tid stage)
-          sh.sh_tbl acc
-      in
-      Mutex.unlock sh.sh_lock;
-      acc)
-    "" trace_tbl
-
 type gate = {
   gate_ready : unit -> bool;
   gate_peek : unit -> Value.t;
@@ -215,9 +159,6 @@ type t = {
   nmpsc_fast : int Atomic.t;
       (** ops completed on the lock-free fast path: the submitting task
           never took the engine mutex *)
-  nbatch : int Atomic.t;
-      (** extra transition firings obtained by batched self-loop replay
-          (beyond the first firing found by the candidate scan) *)
   ncfires : int Atomic.t;  (** firings through compiled (closure) commands *)
   nifires : int Atomic.t;  (** firings through the interpreted walk *)
   mutable fire_env : Command.env option;
@@ -286,7 +227,6 @@ let create ?(gates = []) ?(name = "engine") comp =
     nmpsc_ops = Atomic.make 0;
     nmpsc_batches = Atomic.make 0;
     nmpsc_fast = Atomic.make 0;
-    nbatch = Atomic.make 0;
     ncfires = Atomic.make 0;
     nifires = Atomic.make 0;
     fire_env = None;
@@ -337,7 +277,6 @@ let stalls t = Atomic.get t.nstalls
 let mpsc_ops t = Atomic.get t.nmpsc_ops
 let mpsc_batches t = Atomic.get t.nmpsc_batches
 let mpsc_fast t = Atomic.get t.nmpsc_fast
-let batch_fires t = Atomic.get t.nbatch
 let compiled_fires t = Atomic.get t.ncfires
 let interp_fires t = Atomic.get t.nifires
 
@@ -515,32 +454,6 @@ let drain_subs t =
     ignore (Atomic.fetch_and_add t.nmpsc_ops !n);
     true
 
-(* Batched self-loop firing: when a transition that just fired is a
-   self-loop with a guard-free command, it is — by definition of self-loop
-   — still among the current state's transitions, and its enabledness
-   depends only on its needed boundary vertices still having data/room. So
-   instead of re-running the whole candidate scan (and, for JIT, the
-   candidate-cache lookup) per datum, replay the same transition while its
-   needs stay satisfied: one scan, k data moves. The cap bounds how long
-   the lock is held against a pathological firehose. *)
-let batch_limit = 64
-
-(* May [x] fire again right now? Per needed vertex: a gate must report
-   ready (data / room in the bridge), a task-facing vertex must have a
-   nonempty queue. Caller holds the lock; only called for self-loops, so
-   the composer state is unchanged. *)
-let still_enabled t (x : Composer.xtrans) =
-  let vertex_ready q_tbl v =
-    match entry_of t v with
-    | Some e -> e.ge_gate.gate_ready ()
-    | None -> (
-      match Hashtbl.find_opt q_tbl v with
-      | Some q -> not (Queue.is_empty q)
-      | None -> false)
-  in
-  Iset.for_all (vertex_ready t.send_q) x.needs_send
-  && Iset.for_all (vertex_ready t.recv_q) x.needs_recv
-
 (* The engine's single [Command.env]: allocated once, reused for every
    firing attempt (compiled or interpreted). Its closures capture [t], so
    they survive splice (which replaces [t.cells] and the composer's
@@ -571,8 +484,7 @@ let fire_env t =
     t.fire_env <- Some env;
     env
 
-(* Fire one enabled transition if any (plus its batched replays); caller
-   holds the lock. *)
+(* Fire one enabled transition if any; caller holds the lock. *)
 let fire_one t =
   let pending = pending_now t in
   let cands = Composer.candidates t.comp ~pending in
@@ -580,9 +492,6 @@ let fire_one t =
   if n = 0 then false
   else begin
     let start = Atomic.get t.nsteps mod n in
-    (* Decided inside try_candidate, BEFORE Composer.commit — afterwards
-       the current state is the target and self-loop-ness degenerates. *)
-    let batchable = ref false in
     let try_candidate (x : Composer.xtrans) =
       let env = fire_env t in
       t.staged_cells <- [];
@@ -592,34 +501,23 @@ let fire_one t =
       | Some cmd ->
         (* Compiled commands check guards and execute in one closure call
            (its writes only stage, so a [false] has no effect to undo);
-           interpreted ones walk the guard/move trees. [residual_guards]
-           counts data tests that survived constant folding — the ones
-           whose verdict could change between replays. *)
-        let fired, residual_guards =
+           interpreted ones walk the guard/move trees. *)
+        let fired =
           match Composer.compiled_of x with
           | Some k ->
-            if Command.fire_compiled k env then begin
-              Atomic.incr t.ncfires;
-              (true, Command.compiled_nguards k)
-            end
-            else (false, 0)
+            let ok = Command.fire_compiled k env in
+            if ok then Atomic.incr t.ncfires;
+            ok
           | None ->
-            if Command.guards_hold cmd env then begin
+            let ok = Command.guards_hold cmd env in
+            if ok then begin
               Atomic.incr t.nifires;
-              Command.execute cmd env;
-              (true, Array.length cmd.Command.guards)
-            end
-            else (false, 0)
+              Command.execute cmd env
+            end;
+            ok
         in
         if not fired then false
         else begin
-          (* A silent self-loop (no needs at all) must never be replayed:
-             it would spin inside the batch loop without moving data. *)
-          batchable :=
-            residual_guards = 0
-            && (not (Iset.is_empty x.needs_send)
-               || not (Iset.is_empty x.needs_recv))
-            && Composer.is_self_loop t.comp x;
           (* Apply staged effects. *)
           List.iter (fun (c, v) -> t.cells.(c) <- Some v) t.staged_cells;
           List.iter
@@ -672,27 +570,7 @@ let fire_one t =
         end
     in
     let rec scan i =
-      i < n
-      && begin
-           let x = cands.((start + i) mod n) in
-           if not (try_candidate x) then scan (i + 1)
-           else begin
-             (* Amortize the scan: replay the committed self-loop while its
-                needs stay satisfied. Each replay goes back through
-                try_candidate, so staging, delivery, gate kicks, wakes and
-                tracing behave exactly as for a scanned firing. *)
-             if !batchable then begin
-               let k = ref 1 in
-               while
-                 !k < batch_limit && still_enabled t x && try_candidate x
-               do
-                 incr k;
-                 Atomic.incr t.nbatch
-               done
-             end;
-             true
-           end
-         end
+      i < n && (try_candidate cands.((start + i) mod n) || scan (i + 1))
     in
     scan 0
   end
@@ -975,7 +853,6 @@ let spin_budget = 64
 
 let run_op ?deadline ?(publish = true) t ~opname ~opv ~sub ~remove ~finished
     ~failed ~extract =
-  trace "entry";
   (match Atomic.get t.poison_flag with
    | Some msg -> raise (Poisoned msg)
    | None -> ());
@@ -998,7 +875,6 @@ let run_op ?deadline ?(publish = true) t ~opname ~opv ~sub ~remove ~finished
      [publish = false] re-enters the wait for an op that is already
      installed (the batch retry path). *)
   if publish then Mpsc.push t.subs sub;
-  trace "published";
   let locked = ref false in
   let fast_done =
     deadline = None
@@ -1029,11 +905,9 @@ let run_op ?deadline ?(publish = true) t ~opname ~opv ~sub ~remove ~finished
   in
   if fast_done then begin
     Atomic.incr t.nmpsc_fast;
-    trace_clear ();
     Ok (extract ())
   end
   else begin
-  trace "locking";
   if not !locked then Mutex.lock t.lock;
   let result =
     try
@@ -1105,7 +979,6 @@ let run_op ?deadline ?(publish = true) t ~opname ~opv ~sub ~remove ~finished
          a spurious wake (the metric targeted wakeups exist to minimize). *)
       let woke_idle = ref false in
       let park () =
-        trace "waiting";
         if !woke_idle then Atomic.incr t.nwakes_sp;
         Atomic.incr t.nwaits;
         if traced then begin
@@ -1116,16 +989,13 @@ let run_op ?deadline ?(publish = true) t ~opname ~opv ~sub ~remove ~finished
         Condition.wait w.w_cond t.lock;
         w.w_parked <- w.w_parked - 1;
         woke_idle := true;
-        if traced then Obs.emit (obs_ring t) Obs.Wake ~a:opv ~b:tid;
-        trace "woken"
+        if traced then Obs.emit (obs_ring t) Obs.Wake ~a:opv ~b:tid
       in
       let rec loop () =
-        trace "loop";
         check_poison t;
         check_failed ();
         if finished () then Ok (extract ())
         else begin
-          trace "driving";
           let progressed = drive t in
           if progressed then woke_idle := false;
           check_poison t;
@@ -1152,9 +1022,13 @@ let run_op ?deadline ?(publish = true) t ~opname ~opv ~sub ~remove ~finished
       in
       loop ()
     with e ->
-      (* The operation is over either way; drop this thread's stage note so
-         trace_tbl stays bounded by in-flight operations. *)
-      trace_clear ();
+      (* The operation leaves without completing (poisoned, failed): close
+         its trace span. Draining first installs an op that was never
+         drained, so its Submit event precedes the Abort. *)
+      if traced then begin
+        ignore (drain_subs t);
+        Obs.emit (obs_ring t) Obs.Abort ~a:opv ~b:tid
+      end;
       unlock_raise t e
   in
   if traced then begin
@@ -1165,12 +1039,13 @@ let run_op ?deadline ?(publish = true) t ~opname ~opv ~sub ~remove ~finished
          ~a:opv ~b:tid;
        Metrics.observe m_port_wait (Clock.now () -. !submit_t)
      | Error _ ->
+       (* expired at its deadline: already withdrawn *)
        Obs.emit (obs_ring t) Obs.Stall ~a:opv ~b:tid;
+       Obs.emit (obs_ring t) Obs.Abort ~a:opv ~b:tid;
        Metrics.incr m_stalls)
   end;
   flush_kicks t;
   Mutex.unlock t.lock;
-  trace_clear ();
   match result with
   | Ok _ -> result
   | Error partial ->

@@ -165,11 +165,6 @@ val mpsc_fast : t -> int
 (** Operations completed on the lock-free fast path: the submitting task
     polled its op's completion flag and never took the engine mutex. *)
 
-val batch_fires : t -> int
-(** Extra transition firings obtained by replaying a committed guard-free
-    self-loop while its needed vertices stayed ready — firings beyond the
-    one the candidate scan found (one scan, k data moves). *)
-
 val compiled_fires : t -> int
 (** Firings executed through a closure-compiled command
     ([Command.compile]): guard check + moves in one pre-bound call. *)
@@ -226,15 +221,6 @@ val set_on_fire : t -> (Preo_support.Iset.t -> unit) option -> unit
     keep it fast and reentrancy-free. *)
 
 (**/**)
-
-val trace_dump : unit -> string
-(** Per-thread stage notes when PREO_ENGINE_TRACE is set. The table holds
-    one entry per thread with an in-flight operation; entries are removed
-    when the operation finishes, so an idle system dumps empty. *)
-
-val set_op_trace : bool -> unit
-(** Toggle the per-thread stage notes at runtime (same switch as the
-    PREO_ENGINE_TRACE environment variable). *)
 
 val debug_dump : t -> string
 (** Engine state snapshot (pending vertices, candidate count) for

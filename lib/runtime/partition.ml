@@ -210,10 +210,7 @@ let shape_ends = function
    carries the cross-domain memory ordering. Mutual exclusion follows from
    single-producer single-consumer: only the producing engine's gate
    pushes, only the consuming engine's gate pops, and each side acts only
-   when its gate reports room / data. The engines' batched self-loop
-   firing moves whole batches through these gates per candidate scan —
-   bounded by the ring's occupancy/room, which the replay loop re-checks
-   through [gate_ready] before every move. *)
+   when its gate reports room / data. *)
 let make_queue ~tail ~head ~cap ~init =
   let ring : Value.t Ring.t = Ring.create ~init cap in
   (* Queue occupancy feeds stall reports: a deadline expiring in one region

@@ -50,7 +50,6 @@ module type S = sig
 
   val candidates : t -> pending:Preo_support.Iset.t -> xtrans array
   val commit : t -> xtrans -> unit
-  val is_self_loop : t -> xtrans -> bool
   val ncells : t -> int
   val sources : t -> Preo_support.Iset.t
   val sinks : t -> Preo_support.Iset.t

@@ -1,8 +1,7 @@
 (* Process-wide counters of the sharded connector fabric (lib/dist/shard).
    They live here, not in lib/dist, so [Connector.stats] can report them
-   without a runtime->dist dependency inversion — the same arrangement as
-   the bridge RPC trace rings. All are monotone and process-global: a
-   connector with no cross-process cuts reports zeros. *)
+   without a runtime->dist dependency inversion. All are monotone and
+   process-global: a connector with no cross-process cuts reports zeros. *)
 
 let batches = Atomic.make 0
 let items = Atomic.make 0

@@ -1,6 +1,6 @@
-(* Lock-free data plane: the MPSC submission queue, the SPSC ring, the
-   batched self-loop firing, and their integration with the engine's
-   poison/wakeup machinery. The submission storms are the adversarial
+(* Lock-free data plane: the MPSC submission queue, the SPSC ring, batched
+   submission, and their integration with the engine's poison/wakeup
+   machinery. The submission storms are the adversarial
    cases: many producers publishing concurrently with CAS while one drainer
    installs and completes under the engine lock — a lost submission shows
    up as a hang (the blocking ops never time out), an ordering bug as a
@@ -169,11 +169,10 @@ let submission_storm () =
 
 (* --- Batched firing --------------------------------------------------------- *)
 
-(* A lone Sync channel composes to a one-state self-loop with a guard-free
-   command — exactly the shape the engine's batch replay targets. Both
-   sides submit through the batch API, so one candidate scan should move
-   (nearly) the whole burst: st_batch_fires counts the replays. FIFO order
-   across the batch is the correctness half of the check. *)
+(* Both sides of a Sync channel submit through the batch API: a whole
+   burst lands in the vertex queues before the engine fires, and each
+   firing must still pop the oldest op on either side — FIFO order across
+   the batch. *)
 let batched_firing_order () =
   List.iter
     (fun (cname, config) ->
@@ -198,10 +197,7 @@ let batched_firing_order () =
           Alcotest.(check (list int))
             (cname ^ " batch FIFO order")
             (List.init (rounds * k) Fun.id)
-            (List.rev !got);
-          let st = Connector.stats conn in
-          Alcotest.(check bool) (cname ^ " self-loop replays happened") true
-            (st.Connector.st_batch_fires > 0)))
+            (List.rev !got)))
     stress_configs
 
 (* Mixing batched and singleton submitters on one fifo must preserve each

@@ -1,16 +1,13 @@
-(* Observability: trace rings, Chrome trace export, metrics, and bridge span
-   correlation.
+(* Observability: trace rings, Chrome trace export and metrics.
 
    Rings are process-global, so every test starts from [Obs.reset] and turns
-   tracing off again on exit. Bridge RPC rings and the partition "bridges"
-   ring are cached by their modules after first use, so the single test that
-   exercises each of those paths is also the only one that resets around it. *)
+   tracing off again on exit. The partition "bridges" ring is cached by its
+   module after first use, so the single test that exercises that path is
+   also the only one that resets around it. *)
 
 module Obs = Preo_obs.Obs
 module Metrics = Preo_obs.Metrics
 module Json = Preo_obs.Json
-module Wire = Preo_dist.Wire
-module Bridge = Preo_dist.Bridge
 
 open Preo_support
 open Preo_automata
@@ -206,69 +203,6 @@ let metrics_capture_traced_run () =
       (* the JSON serialization must itself be valid JSON *)
       ignore (Json.parse_exn (Metrics.to_json ())))
 
-(* --- bridge span correlation ------------------------------------------------ *)
-
-(* Two assertions in one bridged session:
-   1. the high-level Bridge.rpc path stamps client and server events with the
-      same correlation ID and pairwise-matching span IDs;
-   2. a hand-built frame carrying a *foreign* correlation proves the server
-      takes the ID from the frame bytes, not from its own process state —
-      which is what makes exports from two real processes merge. *)
-let bridged_spans_share_correlation () =
-  with_tracing (fun () ->
-      Obs.set_correlation 424242;
-      let a = v "a" and b = v "b" in
-      let conn =
-        Connector.create ~sources:[| a |] ~sinks:[| b |]
-          [ prim (Preo_reo.Prim.Fifo_n 8) ~tails:[ a ] ~heads:[ b ] ]
-      in
-      let s_out, c_out = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      let s_in, c_in = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      let srv_out = Bridge.serve_outport (Connector.outport conn a) s_out in
-      let srv_in = Bridge.serve_inport (Connector.inport conn b) s_in in
-      let rout = Bridge.remote_outport c_out in
-      for i = 1 to 5 do
-        Bridge.send rout (Value.int i)
-      done;
-      (* hand-built traced frame with a correlation this process never had *)
-      Wire.write_request
-        ~span:{ Wire.sp_corr = 987_654; sp_span = 77 }
-        c_in Wire.Req_recv;
-      (match Wire.read_response c_in with
-       | Wire.Resp_value x -> Alcotest.(check int) "value served" 1 (Value.to_int x)
-       | _ -> Alcotest.fail "expected a value response");
-      Bridge.close_remote c_out;
-      Wire.write_request c_in Wire.Req_close;
-      Unix.close c_in;
-      Thread.join srv_out;
-      Thread.join srv_in;
-      Connector.poison conn "done";
-      let client = Option.get (find_ring "rpc-client") in
-      let server = Option.get (find_ring "rpc-server") in
-      let starts k ring =
-        List.filter_map
-          (fun e -> if e.Obs.e_kind = k then Some (e.Obs.e_a, e.Obs.e_b) else None)
-          (Obs.events ring)
-      in
-      let client_spans = starts Obs.Rpc_client_start client in
-      let server_spans = starts Obs.Rpc_server_start server in
-      Alcotest.(check bool) "client recorded RPCs" true
-        (List.length client_spans >= 5);
-      List.iter
-        (fun (_, corr) ->
-          Alcotest.(check int) "client events carry the set correlation" 424242 corr)
-        client_spans;
-      (* every client span surfaced on the server with the same correlation *)
-      List.iter
-        (fun (span, _) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "span %d seen on server with shared correlation" span)
-            true
-            (List.mem (span, 424242) server_spans))
-        client_spans;
-      Alcotest.(check bool) "foreign correlation taken from the frame" true
-        (List.mem (77, 987_654) server_spans))
-
 let tests =
   [
     ("tracing off records nothing", `Quick, tracing_off_records_nothing);
@@ -276,5 +210,4 @@ let tests =
     ("chrome trace parses, lanes ordered", `Quick, chrome_trace_parses_and_lanes_ordered);
     ("partitioned run has lane per engine", `Quick, partitioned_run_has_lane_per_engine);
     ("metrics capture traced run", `Quick, metrics_capture_traced_run);
-    ("bridged spans share correlation", `Quick, bridged_spans_share_correlation);
   ]

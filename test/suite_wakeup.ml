@@ -202,39 +202,61 @@ let targeted_wake_counters () =
         (st.Connector.st_wakes_broadcast >= 1))
     stress_configs
 
-(* The per-thread engine trace table is bounded by in-flight operations:
-   entries appear while an operation is blocked and vanish when it
-   completes, so a drained system dumps empty. *)
+(* A blocked operation shows in the Chrome export as one "blocked recv"
+   instant while it is parked, and stops showing once it leaves the engine
+   — by completing, by [Connector.close] poisoning it, or by expiring at
+   its deadline. The exporter's table of pending operations must drain, or
+   a trace taken after the fact reports tasks that are long gone. *)
 let trace_table_drains () =
-  Engine.set_op_trace true;
-  Fun.protect ~finally:(fun () -> Engine.set_op_trace false) (fun () ->
-      let a = Preo_automata.Vertex.fresh "a"
-      and b = Preo_automata.Vertex.fresh "b" in
-      let auto =
-        Preo_reo.Prim.build Preo_reo.Prim.Fifo1 ~tails:[ a ] ~heads:[ b ]
+  Preo_obs.Obs.reset ();
+  set_tracing true;
+  Fun.protect ~finally:(fun () -> set_tracing false) (fun () ->
+      let fifo1 () =
+        let a = Preo_automata.Vertex.fresh "a"
+        and b = Preo_automata.Vertex.fresh "b" in
+        let auto =
+          Preo_reo.Prim.build Preo_reo.Prim.Fifo1 ~tails:[ a ] ~heads:[ b ]
+        in
+        let conn =
+          Connector.create ~config:Config.new_jit ~sources:[| a |]
+            ~sinks:[| b |] [ auto ]
+        in
+        (conn, Connector.outport conn a, Connector.inport conn b)
       in
-      let conn =
-        Connector.create ~config:Config.new_jit ~sources:[| a |] ~sinks:[| b |]
-          [ auto ]
+      let blocked conn =
+        let needle = "\"blocked recv b#" in
+        let s = Connector.chrome_trace conn in
+        let n = String.length needle in
+        let rec count i acc =
+          if i + n > String.length s then acc
+          else if String.sub s i n = needle then count (i + n) (acc + 1)
+          else count (i + 1) acc
+        in
+        count 0 0
       in
-      let t =
-        Task.spawn (fun () -> ignore (Port.recv (Connector.inport conn b)))
-      in
+      let conn, out, inp = fifo1 () in
+      let t = Task.spawn (fun () -> ignore (Port.recv inp)) in
       Thread.delay 0.05;
-      Alcotest.(check bool) "blocked op is traced" true
-        (Engine.trace_dump () <> "");
-      Port.send (Connector.outport conn a) Value.unit;
+      Alcotest.(check int) "blocked op is traced" 1 (blocked conn);
+      Port.send out Value.unit;
       Task.join t;
-      Alcotest.(check string) "drained after completion" ""
-        (Engine.trace_dump ());
-      (* A blocked op released by close must also clear its entry. *)
-      let t2 =
-        Task.spawn (fun () -> ignore (Port.recv (Connector.inport conn b)))
-      in
+      Alcotest.(check int) "drained after completion" 0 (blocked conn);
+      (* A blocked op released by close must also leave the table. *)
+      let t2 = Task.spawn (fun () -> ignore (Port.recv inp)) in
       Thread.delay 0.05;
+      Alcotest.(check int) "second blocked op is traced" 1 (blocked conn);
       Connector.close conn;
       Task.join t2;
-      Alcotest.(check string) "drained after close" "" (Engine.trace_dump ()))
+      Alcotest.(check int) "drained after close" 0 (blocked conn);
+      (* So must one withdrawn at its deadline (fresh connector: the first
+         is closed). *)
+      let conn, _, inp = fifo1 () in
+      let expired =
+        Port.recv_opt ~deadline:(Unix.gettimeofday () +. 0.05) inp
+      in
+      Alcotest.(check bool) "deadline expired" true (Result.is_error expired);
+      Alcotest.(check int) "drained after deadline" 0 (blocked conn);
+      Connector.close conn)
 
 let tests =
   [
