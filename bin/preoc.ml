@@ -279,6 +279,9 @@ let main () =
     let large, bindings =
       large_automaton_full (compiled path name) (parse_lengths rest)
     in
+    (* Drop what the runtime drops: transitions whose data constraint can
+       never fire (Command.firable), which no schedule can take. *)
+    let large = Automaton.trim (Automaton.optimize_labels large) in
     Printf.printf "%d reachable states, %d transitions\n" large.Automaton.nstates
       (Automaton.num_transitions large);
     (match Verify.deadlocks large with
@@ -286,6 +289,12 @@ let main () =
      | ce :: _ ->
        Printf.printf "DEADLOCK reachable after %d steps\n"
          (List.length ce.Verify.path);
+       List.iter
+         (fun (s, sync) ->
+           let names = List.map Preo_automata.Vertex.name (Iset.elements sync) in
+           Printf.printf "  state %d fires {%s}\n" s (String.concat ", " names))
+         ce.Verify.path;
+       Printf.printf "  state %d: no transition can fire\n" ce.Verify.state;
        exit 1);
     let resolve pname =
       (* "tl[2]" or scalar "hd" against the boundary bindings *)

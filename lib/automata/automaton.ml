@@ -93,14 +93,11 @@ let optimize_labels a =
                (fun tr ->
                  match tr.command with
                  | Some _ -> Some tr
-                 | None -> begin
-                   match
-                     Command.solve ~readable:a.sources ~writable:a.sinks
-                       tr.constr
-                   with
-                   | Ok cmd -> Some { tr with command = Some cmd }
-                   | Error _ -> None
-                 end)
+                 | None ->
+                   Option.map
+                     (fun cmd -> { tr with command = Some cmd })
+                     (Command.firable ~sources:a.sources ~sinks:a.sinks
+                        tr.constr))
                (Array.to_list ts)))
         a.trans;
   }

@@ -231,6 +231,9 @@ let solve ~readable ~writable (constr : Constr.t) : (t, string) result =
   | Unsolvable msg -> Error msg
   | Failure msg -> Error msg
 
+let firable ~sources ~sinks constr =
+  Result.to_option (solve ~readable:sources ~writable:sinks constr)
+
 (* --- Evaluation -------------------------------------------------------- *)
 
 let rec eval env = function

@@ -49,6 +49,12 @@ val solve :
     unsatisfiable (conflicting constants) or under-determined (some sink or
     cell write has no data source) — such a transition can never fire. *)
 
+val firable : sources:Iset.t -> sinks:Iset.t -> Constr.t -> t option
+(** The firability filter shared by the runtime and the static checks:
+    [solve] with the connector's [sources] readable and [sinks] writable.
+    [None] means no firing can ever take the transition; the composer drops
+    it and {!Automaton.optimize_labels} removes it. *)
+
 val guards_hold : t -> env -> bool
 (** Evaluate the guards only (cheap pre-check before committing a firing). *)
 

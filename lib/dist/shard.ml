@@ -861,12 +861,17 @@ let manager h lk w =
       escalate h lk ~attempts:lk.lk_spawns
         ~last:(spf "%s; respawn cap %d exhausted" last respawn_cap)
     else begin
-      (* Respawn the worker if its process died (one that merely dropped
-         the link exits on its own and is replaced on the next attempt). *)
+      (* Replace the worker. One whose link dropped exits anyway (nonzero),
+         but a SIGKILLed process closes its sockets before it becomes a
+         zombie, so EOF can arrive while its pid still looks alive: kill
+         and reap it rather than wait out the hello timeout for a
+         connection no process will make. *)
       (match Unix.waitpid [ Unix.WNOHANG ] lk.lk_pid with
-       | 0, _ -> ()
-       | _, _ -> spawn_worker h lk
-       | exception _ -> spawn_worker h lk);
+       | 0, _ ->
+         (try Unix.kill lk.lk_pid Sys.sigkill with _ -> ());
+         (try ignore (Unix.waitpid [] lk.lk_pid) with _ -> ())
+       | _ | (exception _) -> ());
+      spawn_worker h lk;
       Thread.delay (h.h_backoff *. (2.0 ** float_of_int attempt));
       session ~attempt:(attempt + 1) ~resumed:true
     end

@@ -140,6 +140,8 @@ type t = {
   nsolves : int Atomic.t;
       (* runtime (post-expansion) Command.solve calls, i.e. firing-loop
          solver work that label optimization would have precompiled *)
+  ncfires : int Atomic.t;  (* firings through compiled (closure) commands *)
+  nifires : int Atomic.t;  (* firings through the interpreted walk *)
 }
 
 (* --- Shared helpers ----------------------------------------------------- *)
@@ -177,9 +179,9 @@ let lower ~compile c =
 let make_xtrans ~srcs ~snks ~optimize ~compile ~sync ~constr ~target =
   let cmd =
     if optimize then
-      match Command.solve ~readable:srcs ~writable:snks constr with
-      | Ok c -> lower ~compile c
-      | Error _ -> C_unsat (* structurally unsatisfiable: caller drops it *)
+      match Command.firable ~sources:srcs ~sinks:snks constr with
+      | Some c -> lower ~compile c
+      | None -> C_unsat (* can never fire: caller drops it *)
     else C_unsolved
   in
   let keep = (not optimize) || (match cmd with C_unsat -> false | _ -> true) in
@@ -245,6 +247,8 @@ let aot ?(name = "connector") ?(use_dispatch = true) ?(optimize_labels = true)
     ncand_hits = Atomic.make 0;
     ncand_evictions = Atomic.make 0;
     nsolves = Atomic.make 0;
+    ncfires = Atomic.make 0;
+    nifires = Atomic.make 0;
   }
 
 (* --- Just-in-time ------------------------------------------------------- *)
@@ -302,6 +306,8 @@ let jit ?(name = "connector") ?(cache_capacity = 0) ?(optimize_labels = true)
     ncand_hits = Atomic.make 0;
     ncand_evictions = Atomic.make 0;
     nsolves = Atomic.make 0;
+    ncfires = Atomic.make 0;
+    nifires = Atomic.make 0;
   }
 
 (* --- Connector coloring -------------------------------------------------- *)
@@ -340,7 +346,48 @@ let coloring ?(name = "connector") ?(cache_capacity = 0)
     ncand_hits = Atomic.make 0;
     ncand_evictions = Atomic.make 0;
     nsolves = Atomic.make 0;
+    ncfires = Atomic.make 0;
+    nifires = Atomic.make 0;
   }
+
+(* --- From a configuration ----------------------------------------------- *)
+
+(* Coloring implements interleaving semantics only: 2 colors cannot express
+   the textbook synchronous product's joint independent firings, so
+   [true_synchronous] stays on the JIT expander; and [Config.Existing] is
+   the precomposed large automaton, with no per-round resolution to
+   replace. *)
+let backend_of (config : Config.t) backend =
+  match config with
+  | Config.New { true_synchronous = false; _ } -> backend
+  | Config.New _ | Config.Existing _ -> Sched.Automata
+
+let of_config ?(name = "connector") ~backend ~compile ~sources ~sinks
+    (config : Config.t) mediums =
+  match config with
+  | Config.Existing
+      { use_dispatch; optimize_labels; max_states; max_trans;
+        max_compile_seconds; true_synchronous } ->
+    let large =
+      Product.all ~label:name ~max_states ~max_trans
+        ~max_seconds:max_compile_seconds ~joint_independent:true_synchronous
+        mediums
+    in
+    let hidden = Iset.diff large.vertices (Iset.union sources sinks) in
+    let large = Automaton.trim (Automaton.hide hidden large) in
+    (* Force boundary polarity from the declared signature. *)
+    aot ~name ~use_dispatch ~optimize_labels ~compile
+      { large with sources; sinks }
+  | Config.New
+      { optimize_labels; cache_capacity; expansion_budget; true_synchronous;
+        partition = _ } -> (
+    match backend_of config backend with
+    | Sched.Coloring ->
+      coloring ~name ~cache_capacity ~optimize_labels ~expansion_budget
+        ~compile ~sources ~sinks mediums
+    | Sched.Automata ->
+      jit ~name ~cache_capacity ~optimize_labels ~expansion_budget
+        ~true_synchronous ~compile ~sources ~sinks mediums)
 
 (* Expand one product state, interleaving flavour: every global transition is
    the synchronization closure of one seed local transition — mediums are
@@ -649,33 +696,32 @@ let candidates t ~pending =
     e.cand_memo <- memo;
     arr
 
-(* The executable command of a transition: precompiled at expansion time
-   when label optimization is on, otherwise solved here. [None] means the
-   constraint is structurally unsatisfiable (never enabled). *)
-let command_of t (x : xtrans) =
+(* One firing attempt. A transition's command is precompiled at expansion
+   time under label optimization, otherwise solved (once) on its first
+   attempt. Compiled commands check guards and execute in one closure call
+   (its writes only stage through [env], so a [false] has no effect to
+   undo); interpreted ones walk the guard/move trees. *)
+let rec fire t (x : xtrans) env =
   match x.cmd with
-  | C_solved c | C_compiled (c, _) -> Some c
-  | C_unsat -> None
-  | C_unsolved -> begin
+  | C_compiled (_, k) ->
+    let ok = Command.fire_compiled k env in
+    if ok then Atomic.incr t.ncfires;
+    ok
+  | C_solved c ->
+    let ok = Command.guards_hold c env in
+    if ok then begin
+      Atomic.incr t.nifires;
+      Command.execute c env
+    end;
+    ok
+  | C_unsat -> false
+  | C_unsolved ->
     Atomic.incr t.nsolves;
-    match Command.solve ~readable:t.srcs ~writable:t.snks x.constr with
-    | Ok c ->
-      x.cmd <- lower ~compile:t.compile c;
-      Some c
-    | Error _ ->
-      x.cmd <- C_unsat;
-      None
-  end
-
-(* The compiled form, if lowering succeeded. Meaningful only after
-   {!command_of} returned [Some] — until then an unoptimized transition is
-   still [C_unsolved]. *)
-let compiled_of (x : xtrans) =
-  match x.cmd with
-  | C_compiled (_, k) -> Some k
-  | C_unsolved | C_solved _ | C_unsat -> None
-
-let compiling t = t.compile
+    x.cmd <-
+      (match Command.firable ~sources:t.srcs ~sinks:t.snks x.constr with
+       | Some c -> lower ~compile:t.compile c
+       | None -> C_unsat);
+    fire t x env
 
 let commit t (x : xtrans) =
   match (t.strategy, x.target) with
@@ -847,6 +893,8 @@ let cache_evictions t =
   | S_color cs -> Xcache.evictions cs.xcache
 
 let solver_calls t = Atomic.get t.nsolves
+let compiled_fires t = Atomic.get t.ncfires
+let interp_fires t = Atomic.get t.nifires
 let cand_hits t = Atomic.get t.ncand_hits
 let cand_evictions t = Atomic.get t.ncand_evictions
 

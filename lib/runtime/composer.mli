@@ -10,7 +10,7 @@
     of synchronization rounds by flow/no-flow color propagation over the
     connector graph ([Preo_coloring.Coloring]), so per-round cost tracks
     graph size rather than product size. All three present the same
-    stateful interface to the engine (the {!Sched.S} contract). *)
+    stateful interface to the engine and to [Sim]. *)
 
 open Preo_support
 open Preo_automata
@@ -22,7 +22,7 @@ type xtrans = {
   constr : Constr.t;
   mutable cmd : cmd_state;
       (** solved at expansion time under label optimization, otherwise
-          memoized by {!command_of} on the first firing attempt *)
+          by {!fire} on the first firing attempt *)
   target : target;
 }
 
@@ -105,6 +105,30 @@ val coloring :
     textbook synchronous product's joint independent firings (request
     [true_synchronous] via {!jit} instead). *)
 
+val backend_of : Config.t -> Sched.backend -> Sched.backend
+(** The backend a configuration actually runs on: the requested one for
+    interleaving [Config.New], {!Sched.Automata} for [Config.Existing] (the
+    precomposed product) and for [true_synchronous] (2-coloring cannot
+    express joint independent firings). *)
+
+val of_config :
+  ?name:string ->
+  backend:Sched.backend ->
+  compile:bool ->
+  sources:Iset.t ->
+  sinks:Iset.t ->
+  Config.t ->
+  Automaton.t list ->
+  t
+(** The composer a configuration prescribes for these mediums and this
+    boundary: [Config.Existing] composes them ahead of time
+    ([Product.all] under the configured budgets, internal vertices hidden,
+    then {!aot}); [Config.New] builds {!coloring} or {!jit} as
+    {!backend_of} resolves [backend]. [partition] is the caller's concern
+    (it composes each region separately). Raises
+    [Product.Budget_exceeded] when the ahead-of-time product exceeds its
+    budgets. *)
+
 val candidates : t -> pending:Iset.t -> xtrans array
 (** Transitions leaving the current state whose needed boundary vertices are
     covered by [pending]; silent transitions are always included. Guards are
@@ -116,22 +140,15 @@ val commit : t -> xtrans -> unit
 (** Advance the current state. The transition must come from the latest
     {!candidates} call. *)
 
-val command_of : t -> xtrans -> Command.t option
-(** The executable command of a transition: the precompiled one when label
-    optimization is on, otherwise solved — once — on the first firing
-    attempt and memoized on the transition. [None] means the constraint is
-    structurally unsatisfiable (the transition is never enabled). When the
-    composer compiles ({!compiling}), the solved command is also lowered
-    into closed closures, retrievable via {!compiled_of}. *)
-
-val compiled_of : xtrans -> Command.compiled option
-(** The closure-lowered form of the transition's command, when the composer
-    compiles and lowering succeeded (all [Datafun] names registered at
-    solve time). Only meaningful after {!command_of} returned [Some]; the
-    engine fires it in place of the interpreted guard/move walk. *)
-
-val compiling : t -> bool
-(** Whether this composer lowers solved commands into closures. *)
+val fire : t -> xtrans -> Command.env -> bool
+(** One firing attempt: check the transition's guards against [env] and,
+    if they hold, execute its moves into [env]. The command is solved on
+    the first attempt unless label optimization precompiled it; when the
+    composer compiles ([?compile]) and lowering succeeded, the closed
+    closures run instead of the interpreted guard/move walk. [false] means
+    the transition is not enabled (a guard failed, or its constraint can
+    never fire) and [env] saw no write. Counted in {!compiled_fires} or
+    {!interp_fires}. *)
 
 val ncells : t -> int
 (** Number of (densely renumbered) memory cells; engine memory size. Grows
@@ -182,6 +199,12 @@ val cache_evictions : t -> int
 val solver_calls : t -> int
 (** Runtime (firing-loop) [Command.solve] calls: solves that label
     optimization did not precompile. *)
+
+val compiled_fires : t -> int
+(** Successful {!fire}s through compiled (closure) commands. *)
+
+val interp_fires : t -> int
+(** Successful {!fire}s through the interpreted guard/move walk. *)
 
 val cand_hits : t -> int
 (** Hits in the (state, pending-set) candidate cache consulted by

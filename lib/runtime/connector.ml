@@ -32,186 +32,126 @@ type t = {
   nfused : int;  (* region pairs the sequentializer merged at split time *)
 }
 
-let hide_internals ~keep (a : Automaton.t) =
-  Automaton.trim (Automaton.hide (Iset.diff a.vertices keep) a)
-
 let create ?(config = Config.new_jit) ?backend ?(name = "connector") ?domains
     ?compile ?local ?cut_gates ~sources ~sinks mediums =
   let eff_domains = Config.effective_domains ?requested:domains () in
   let eff_compile = Config.effective_compile ?requested:compile () in
   let src_set = Iset.of_list (Array.to_list sources) in
   let snk_set = Iset.of_list (Array.to_list sinks) in
-  let backend = Sched.effective ?requested:backend () in
+  let backend = Composer.backend_of config (Sched.effective ?requested:backend ()) in
   let placed = local <> None in
   let t0 = Clock.now () in
-  let engines, region_engines, routes, slots, bridges, elastic, backend, nfused
-      =
+  let mk_composer ~sources ~sinks mediums =
+    Composer.of_config ~name ~backend ~compile:eff_compile ~sources ~sinks
+      config mediums
+  in
+  let engines, region_engines, routes, slots, bridges, elastic, nfused =
     match config with
-    | Config.Existing
-        {
-          use_dispatch;
-          optimize_labels;
-          max_states;
-          max_trans;
-          max_compile_seconds;
-          true_synchronous;
-        } ->
-      (* The ahead-of-time product IS the automata backend: a coloring
-         request does not apply to [Config.Existing] (there is no per-round
-         resolution to replace — the whole point of that config is the
-         precomposed large automaton). *)
-      let large =
-        try
-          Product.all ~label:name ~max_states ~max_trans
-            ~max_seconds:max_compile_seconds
-            ~joint_independent:true_synchronous mediums
-        with
+    | Config.Existing _ | Config.New { partition = false; _ } ->
+      let comp =
+        try mk_composer ~sources:src_set ~sinks:snk_set mediums with
         | Product.Budget_exceeded msg -> raise (Compile_failure msg)
         | Stack_overflow -> raise (Compile_failure "stack overflow during composition")
       in
-      let large = hide_internals ~keep:(Iset.union src_set snk_set) large in
-      (* Force boundary polarity from the declared signature. *)
-      let large = { large with sources = src_set; sinks = snk_set } in
-      let comp =
-        Composer.aot ~name ~use_dispatch ~optimize_labels ~compile:eff_compile
-          large
-      in
       let e = Engine.create ~name:"engine0" comp in
+      (* only a JIT/coloring composer splices live *)
+      let elastic = match config with Config.New _ -> true | _ -> false in
       ( [| e |],
         [| Some e |],
         [ (Iset.union src_set snk_set, e) ],
-        [| ref [] |],
+        [| ref (if elastic then mediums else []) |],
         [],
-        false,
-        Sched.Automata,
+        elastic,
         0 )
-    | Config.New
-        {
-          optimize_labels;
-          cache_capacity;
-          expansion_budget;
-          partition;
-          true_synchronous;
-        } ->
-      (* Coloring implements interleaving semantics only: 2 colors cannot
-         express the textbook synchronous product's joint independent
-         firings, so [true_synchronous] stays on the JIT expander. *)
-      let backend =
-        if true_synchronous then Sched.Automata else backend
+    | Config.New { partition = true; _ } ->
+      let plan =
+        Partition.split ~domains:eff_domains ~sequentialize:eff_compile
+          ?gate_for:cut_gates ~sources:src_set ~sinks:snk_set mediums
       in
-      let mk_composer ~sources ~sinks mediums =
-        match backend with
-        | Sched.Coloring ->
-          Composer.coloring ~name ~cache_capacity ~optimize_labels
-            ~expansion_budget ~compile:eff_compile ~sources ~sinks mediums
-        | Sched.Automata ->
-          Composer.jit ~name ~cache_capacity ~optimize_labels
-            ~expansion_budget ~true_synchronous ~compile:eff_compile ~sources
-            ~sinks mediums
-      in
-      if not partition then begin
-        let comp = mk_composer ~sources:src_set ~sinks:snk_set mediums in
-        let e = Engine.create ~name:"engine0" comp in
-        ( [| e |],
-          [| Some e |],
-          [ (Iset.union src_set snk_set, e) ],
-          [| ref mediums |],
-          [],
-          true,
-          backend,
-          0 )
-      end
-      else begin
-        let plan =
-          Partition.split ~domains:eff_domains ~sequentialize:eff_compile
-            ?gate_for:cut_gates ~sources:src_set ~sinks:snk_set mediums
-        in
-        (* Placement: [?local] elects the subset of plan regions this
-           process runs (the shard fabric gives each worker its share; the
-           default runs everything). Non-local regions get no engine and no
-           composer — the other process pays for those — and peer edges
-           into them are dropped: cross-process kicks travel through the
-           shard channels' gates instead. *)
-        let is_local = match local with Some f -> f | None -> fun _ -> true in
-        let region_engines =
-          Array.mapi
-            (fun i (r : Partition.region) ->
-              if not (is_local i) then None
-              else
-                let comp =
-                  mk_composer ~sources:r.r_sources ~sinks:r.r_sinks r.mediums
-                in
-                Some
-                  (Engine.create ~gates:r.gates
-                     ~name:(Printf.sprintf "engine%d" i)
-                     comp))
-            plan.regions
-        in
-        let engines =
-          Array.of_list
-            (List.filter_map Fun.id (Array.to_list region_engines))
-        in
-        Array.iteri
+      (* Placement: [?local] elects the subset of plan regions this
+         process runs (the shard fabric gives each worker its share; the
+         default runs everything). Non-local regions get no engine and no
+         composer — the other process pays for those — and peer edges
+         into them are dropped: cross-process kicks travel through the
+         shard channels' gates instead. *)
+      let is_local = match local with Some f -> f | None -> fun _ -> true in
+      let region_engines =
+        Array.mapi
           (fun i (r : Partition.region) ->
-            match region_engines.(i) with
-            | None -> ()
-            | Some e ->
-              Engine.set_peers e
-                (List.filter_map (fun j -> region_engines.(j)) r.bridge_peers);
-              Engine.set_gate_peers e
-                (List.filter_map
-                   (fun (v, j) ->
-                     Option.map (fun pe -> (v, pe)) region_engines.(j))
-                   r.gate_peers))
-          plan.regions;
-        (* Settle: initially-full cut fifos make some regions enabled at
-           construction with nothing to kick them (a gate commit kicks the
-           peer, but the initial queue contents were placed by the planner,
-           not by a commit). Drive every engine until the whole network is
-           quiescent; tasks attach afterwards. *)
-        let rec settle () =
-          if Array.fold_left (fun acc e -> Engine.try_step e || acc) false engines
-          then settle ()
-        in
-        settle ();
-        let routes =
-          List.filter_map Fun.id
-            (Array.to_list
-               (Array.mapi
-                  (fun i (r : Partition.region) ->
-                    Option.map
-                      (fun e -> (Iset.union r.r_sources r.r_sinks, e))
-                      region_engines.(i))
-                  plan.regions))
-        in
-        let slots =
-          Array.of_list
-            (List.filter_map Fun.id
-               (Array.to_list
-                  (Array.mapi
-                     (fun i (r : Partition.region) ->
-                       if region_engines.(i) = None then None
-                       else Some (ref r.mediums))
-                     plan.regions)))
-        in
-        (* Mediums the planner replaced with bridges live in no region. *)
-        let bridges =
-          List.filter
-            (fun a ->
-              not
-                (Array.exists (fun (r : Partition.region) -> List.memq a r.mediums)
-                   plan.regions))
-            mediums
-        in
-        ( engines,
-          region_engines,
-          routes,
-          slots,
-          bridges,
-          (not placed),
-          backend,
-          plan.nfused )
-      end
+            if not (is_local i) then None
+            else
+              let comp =
+                mk_composer ~sources:r.r_sources ~sinks:r.r_sinks r.mediums
+              in
+              Some
+                (Engine.create ~gates:r.gates
+                   ~name:(Printf.sprintf "engine%d" i)
+                   comp))
+          plan.regions
+      in
+      let engines =
+        Array.of_list
+          (List.filter_map Fun.id (Array.to_list region_engines))
+      in
+      Array.iteri
+        (fun i (r : Partition.region) ->
+          match region_engines.(i) with
+          | None -> ()
+          | Some e ->
+            Engine.set_peers e
+              (List.filter_map (fun j -> region_engines.(j)) r.bridge_peers);
+            Engine.set_gate_peers e
+              (List.filter_map
+                 (fun (v, j) ->
+                   Option.map (fun pe -> (v, pe)) region_engines.(j))
+                 r.gate_peers))
+        plan.regions;
+      (* Settle: initially-full cut fifos make some regions enabled at
+         construction with nothing to kick them (a gate commit kicks the
+         peer, but the initial queue contents were placed by the planner,
+         not by a commit). Drive every engine until the whole network is
+         quiescent; tasks attach afterwards. *)
+      let rec settle () =
+        if Array.fold_left (fun acc e -> Engine.try_step e || acc) false engines
+        then settle ()
+      in
+      settle ();
+      let routes =
+        List.filter_map Fun.id
+          (Array.to_list
+             (Array.mapi
+                (fun i (r : Partition.region) ->
+                  Option.map
+                    (fun e -> (Iset.union r.r_sources r.r_sinks, e))
+                    region_engines.(i))
+                plan.regions))
+      in
+      let slots =
+        Array.of_list
+          (List.filter_map Fun.id
+             (Array.to_list
+                (Array.mapi
+                   (fun i (r : Partition.region) ->
+                     if region_engines.(i) = None then None
+                     else Some (ref r.mediums))
+                   plan.regions)))
+      in
+      (* Mediums the planner replaced with bridges live in no region. *)
+      let bridges =
+        List.filter
+          (fun a ->
+            not
+              (Array.exists (fun (r : Partition.region) -> List.memq a r.mediums)
+                 plan.regions))
+          mediums
+      in
+      ( engines,
+        region_engines,
+        routes,
+        slots,
+        bridges,
+        (not placed),
+        plan.nfused )
   in
   let route = Hashtbl.create 32 in
   List.iter

@@ -159,8 +159,6 @@ type t = {
   nmpsc_fast : int Atomic.t;
       (** ops completed on the lock-free fast path: the submitting task
           never took the engine mutex *)
-  ncfires : int Atomic.t;  (** firings through compiled (closure) commands *)
-  nifires : int Atomic.t;  (** firings through the interpreted walk *)
   mutable fire_env : Command.env option;
       (** the one [Command.env] this engine ever allocates: its closures
           capture [t] (not the cell array, which splice replaces) and stage
@@ -227,8 +225,6 @@ let create ?(gates = []) ?(name = "engine") comp =
     nmpsc_ops = Atomic.make 0;
     nmpsc_batches = Atomic.make 0;
     nmpsc_fast = Atomic.make 0;
-    ncfires = Atomic.make 0;
-    nifires = Atomic.make 0;
     fire_env = None;
     staged_cells = [];
     delivered = [];
@@ -277,8 +273,8 @@ let stalls t = Atomic.get t.nstalls
 let mpsc_ops t = Atomic.get t.nmpsc_ops
 let mpsc_batches t = Atomic.get t.nmpsc_batches
 let mpsc_fast t = Atomic.get t.nmpsc_fast
-let compiled_fires t = Atomic.get t.ncfires
-let interp_fires t = Atomic.get t.nifires
+let compiled_fires t = Composer.compiled_fires t.comp
+let interp_fires t = Composer.interp_fires t.comp
 
 (* --- Targeted wakeups -------------------------------------------------------
    Operations complete only inside [fire_one], under the engine lock, and a
@@ -496,78 +492,58 @@ let fire_one t =
       let env = fire_env t in
       t.staged_cells <- [];
       t.delivered <- [];
-      match Composer.command_of t.comp x with
-      | None -> false (* structurally unsatisfiable: never enabled *)
-      | Some cmd ->
-        (* Compiled commands check guards and execute in one closure call
-           (its writes only stage, so a [false] has no effect to undo);
-           interpreted ones walk the guard/move trees. *)
-        let fired =
-          match Composer.compiled_of x with
-          | Some k ->
-            let ok = Command.fire_compiled k env in
-            if ok then Atomic.incr t.ncfires;
-            ok
-          | None ->
-            let ok = Command.guards_hold cmd env in
-            if ok then begin
-              Atomic.incr t.nifires;
-              Command.execute cmd env
-            end;
-            ok
-        in
-        if not fired then false
-        else begin
-          (* Apply staged effects. *)
-          List.iter (fun (c, v) -> t.cells.(c) <- Some v) t.staged_cells;
-          List.iter
-            (fun (v, value) ->
-              match entry_of t v with
-              | Some e ->
-                e.ge_gate.gate_commit (Some value);
-                queue_kick t e
-              | None ->
-                let q = queue_of t.recv_q v in
-                let op = Queue.pop q in
-                Atomic.set op.r_result (Some value);
-                queue_wake t op.r_w;
-                if Queue.is_empty q then
-                  t.base_pending <- Iset.remove v t.base_pending)
-            t.delivered;
-          (* Complete the consumed sends (their data was either moved by the
-             command or discarded by the protocol). *)
-          Iset.iter
+      if not (Composer.fire t.comp x env) then false
+      else begin
+        (* Apply staged effects. *)
+        List.iter (fun (c, v) -> t.cells.(c) <- Some v) t.staged_cells;
+        List.iter
+          (fun (v, value) ->
+            match entry_of t v with
+            | Some e ->
+              e.ge_gate.gate_commit (Some value);
+              queue_kick t e
+            | None ->
+              let q = queue_of t.recv_q v in
+              let op = Queue.pop q in
+              Atomic.set op.r_result (Some value);
+              queue_wake t op.r_w;
+              if Queue.is_empty q then
+                t.base_pending <- Iset.remove v t.base_pending)
+          t.delivered;
+        (* Complete the consumed sends (their data was either moved by the
+           command or discarded by the protocol). *)
+        Iset.iter
+          (fun v ->
+            match entry_of t v with
+            | Some e ->
+              e.ge_gate.gate_commit None;
+              queue_kick t e
+            | None ->
+              let q = queue_of t.send_q v in
+              let op = Queue.pop q in
+              Atomic.set op.s_done true;
+              queue_wake t op.s_w;
+              if Queue.is_empty q then
+                t.base_pending <- Iset.remove v t.base_pending)
+          x.needs_send;
+        (* Every non-gated needed receive must have been delivered. *)
+        assert (
+          Iset.for_all
             (fun v ->
-              match entry_of t v with
-              | Some e ->
-                e.ge_gate.gate_commit None;
-                queue_kick t e
-              | None ->
-                let q = queue_of t.send_q v in
-                let op = Queue.pop q in
-                Atomic.set op.s_done true;
-                queue_wake t op.s_w;
-                if Queue.is_empty q then
-                  t.base_pending <- Iset.remove v t.base_pending)
-            x.needs_send;
-          (* Every non-gated needed receive must have been delivered. *)
-          assert (
-            Iset.for_all
-              (fun v ->
-                gate_of t v <> None
-                || List.exists (fun (u, _) -> Vertex.equal u v) t.delivered)
-              x.needs_recv);
-          Composer.commit t.comp x;
-          invalidate_gates t;
-          Atomic.incr t.nsteps;
-          if !Obs.tracing then begin
-            Obs.emit (obs_ring t) Obs.Fire ~a:(Iset.cardinal x.sync)
-              ~b:(if Iset.is_empty x.sync then -1 else Iset.choose x.sync);
-            Metrics.incr m_fires
-          end;
-          (match t.on_fire with Some f -> f x.sync | None -> ());
-          true
-        end
+              gate_of t v <> None
+              || List.exists (fun (u, _) -> Vertex.equal u v) t.delivered)
+            x.needs_recv);
+        Composer.commit t.comp x;
+        invalidate_gates t;
+        Atomic.incr t.nsteps;
+        if !Obs.tracing then begin
+          Obs.emit (obs_ring t) Obs.Fire ~a:(Iset.cardinal x.sync)
+            ~b:(if Iset.is_empty x.sync then -1 else Iset.choose x.sync);
+          Metrics.incr m_fires
+        end;
+        (match t.on_fire with Some f -> f x.sync | None -> ());
+        true
+      end
     in
     let rec scan i =
       i < n && (try_candidate cands.((start + i) mod n) || scan (i + 1))

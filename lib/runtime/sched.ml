@@ -20,27 +20,3 @@ let effective ?requested () =
   match requested with
   | Some b -> b
   | None -> ( match !backend with Some b -> b | None -> Automata)
-
-module type S = sig
-  type t
-  type xtrans
-
-  val candidates : t -> pending:Preo_support.Iset.t -> xtrans array
-  val commit : t -> xtrans -> unit
-  val ncells : t -> int
-  val sources : t -> Preo_support.Iset.t
-  val sinks : t -> Preo_support.Iset.t
-
-  val splice :
-    t ->
-    sources:Preo_support.Iset.t ->
-    sinks:Preo_support.Iset.t ->
-    retire:int list ->
-    add:Preo_automata.Automaton.t list ->
-    Preo_support.Iset.t
-end
-
-(* Static conformance: every backend is reached through [Composer]'s
-   strategies (S_aot/S_jit = automata, S_color = coloring), so one check
-   covers all three. *)
-module Conformance : S = Composer

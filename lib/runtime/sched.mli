@@ -2,9 +2,7 @@
 
     The engine is backend-agnostic: each drive iteration asks its composer
     for the rounds enabled by the pending operations, fires one, commits.
-    {!S} is that contract — the slice of [Composer]'s interface the engine
-    actually consumes. Both backends implement it through [Composer]'s
-    strategies:
+    Both backends are [Composer] strategies:
 
     - {!Automata} — the constraint-automata backends: ahead-of-time product
       ([Config.Existing] / [Composer.aot]) and lazy product expansion
@@ -39,26 +37,3 @@ val set_backend : backend option -> unit
 val effective : ?requested:backend -> unit -> backend
 (** Resolve the backend for one instantiation: [requested] wins, else the
     process-wide default, else {!Automata}. *)
-
-(** The round-scheduler contract both backends implement (via [Composer]'s
-    strategies — see [Sched.Conformance] in the implementation for the
-    static check). [candidates] may raise the implementation's budget
-    exception; the engine treats it as poison. *)
-module type S = sig
-  type t
-  type xtrans
-
-  val candidates : t -> pending:Preo_support.Iset.t -> xtrans array
-  val commit : t -> xtrans -> unit
-  val ncells : t -> int
-  val sources : t -> Preo_support.Iset.t
-  val sinks : t -> Preo_support.Iset.t
-
-  val splice :
-    t ->
-    sources:Preo_support.Iset.t ->
-    sinks:Preo_support.Iset.t ->
-    retire:int list ->
-    add:Preo_automata.Automaton.t list ->
-    Preo_support.Iset.t
-end

@@ -13,30 +13,17 @@ type t = {
   mutable nsteps : int;
 }
 
-let composer_of ~config ~sources ~sinks mediums =
-  let src_set = Iset.of_list (Array.to_list sources) in
-  let snk_set = Iset.of_list (Array.to_list sinks) in
-  match config with
-  | Config.Existing { use_dispatch; optimize_labels; max_states; max_trans;
-                      max_compile_seconds; true_synchronous } ->
-    let large =
-      Product.all ~max_states ~max_trans ~max_seconds:max_compile_seconds
-        ~joint_independent:true_synchronous mediums
-    in
-    let keep = Iset.union src_set snk_set in
-    let large =
-      Automaton.trim (Automaton.hide (Iset.diff large.Automaton.vertices keep) large)
-    in
-    let large = { large with Automaton.sources = src_set; sinks = snk_set } in
-    Composer.aot ~use_dispatch ~optimize_labels large
-  | Config.New { optimize_labels; cache_capacity; expansion_budget;
-                 true_synchronous; partition = _ } ->
-    Composer.jit ~cache_capacity ~optimize_labels ~expansion_budget
-      ~true_synchronous ~sources:src_set ~sinks:snk_set mediums
-
+(* Built, and resolved against the process defaults (backend, compiled
+   dispatch), exactly as [Connector.create] builds one region. *)
 let create ?(config = Config.new_jit) ?(policy = First) ~sources ~sinks
     mediums =
-  let comp = composer_of ~config ~sources ~sinks mediums in
+  let comp =
+    Composer.of_config config ~backend:(Sched.effective ())
+      ~compile:(Config.effective_compile ())
+      ~sources:(Iset.of_list (Array.to_list sources))
+      ~sinks:(Iset.of_list (Array.to_list sinks))
+      mediums
+  in
   {
     comp;
     cells = Array.make (max 1 (Composer.ncells comp)) None;
@@ -93,32 +80,28 @@ let try_transition t (x : Composer.xtrans) =
       deliver = (fun v value -> delivered := (v, value) :: !delivered);
     }
   in
-  match Composer.command_of t.comp x with
-  | None -> None
-  | Some cmd ->
-    if not (Command.guards_hold cmd env) then None
-    else begin
-      Command.execute cmd env;
-      List.iter (fun (c, v) -> t.cells.(c) <- Some v) !staged_cells;
-      List.iter
-        (fun (v, _) ->
-          let r = recv_count t v in
-          decr r;
-          if !r = 0 then t.pending <- Iset.remove v t.pending)
-        !delivered;
-      let consumed = ref [] in
-      Iset.iter
-        (fun v ->
-          consumed := v :: !consumed;
-          let q = send_queue t v in
-          ignore (Queue.pop q);
-          if Queue.is_empty q then t.pending <- Iset.remove v t.pending)
-        x.needs_send;
-      Composer.commit t.comp x;
-      t.nsteps <- t.nsteps + 1;
-      Some { ev_sync = x.sync; ev_delivered = List.rev !delivered;
-             ev_consumed = List.rev !consumed }
-    end
+  if not (Composer.fire t.comp x env) then None
+  else begin
+    List.iter (fun (c, v) -> t.cells.(c) <- Some v) !staged_cells;
+    List.iter
+      (fun (v, _) ->
+        let r = recv_count t v in
+        decr r;
+        if !r = 0 then t.pending <- Iset.remove v t.pending)
+      !delivered;
+    let consumed = ref [] in
+    Iset.iter
+      (fun v ->
+        consumed := v :: !consumed;
+        let q = send_queue t v in
+        ignore (Queue.pop q);
+        if Queue.is_empty q then t.pending <- Iset.remove v t.pending)
+      x.needs_send;
+    Composer.commit t.comp x;
+    t.nsteps <- t.nsteps + 1;
+    Some { ev_sync = x.sync; ev_delivered = List.rev !delivered;
+           ev_consumed = List.rev !consumed }
+  end
 
 let step t =
   let cands = Composer.candidates t.comp ~pending:t.pending in
@@ -164,3 +147,5 @@ let pending_recvs t =
   |> List.sort Vertex.compare
 
 let steps t = t.nsteps
+let compiled_fires t = Composer.compiled_fires t.comp
+let interp_fires t = Composer.interp_fires t.comp

@@ -4,10 +4,11 @@
     automatically").
 
     All checks run on an explicit (composed) automaton, so they are
-    exhaustive over its reachable state space. Data constraints are treated
-    symbolically: a transition is assumed firable whenever its constraint is
-    structurally satisfiable (guards are ignored), which makes the checks
-    conservative for data-sensitive connectors. *)
+    exhaustive over its reachable state space, and treat every transition
+    they are given as firable. Drop the transitions the runtime can never
+    fire first ([Automaton.optimize_labels], the [Command.firable] filter
+    the composer applies), as [preoc verify] does; guards stay ignored,
+    which keeps the checks conservative for data-sensitive connectors. *)
 
 open Preo_automata
 

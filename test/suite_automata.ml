@@ -266,13 +266,18 @@ let map_vertices_roundtrip () =
   Alcotest.(check bool) "renamed sources" true (Iset.mem a' g.Automaton.sources);
   Alcotest.(check bool) "old gone" false (Iset.mem a g.Automaton.vertices)
 
+(* The whole-automaton dispatch index the AOT composer builds under
+   [use_dispatch]: candidates are looked up by needed boundary vertex. *)
 let dispatch_candidates () =
+  let module Composer = Preo_runtime.Composer in
   let a = v "a" and b = v "b" in
   let auto = Automaton.trim (fifo_auto a b) in
-  let d = Dispatch.build auto in
-  let cands = Dispatch.candidates d ~state:0 ~pending:(iset [ a ]) in
+  let c = Composer.aot ~use_dispatch:true auto in
+  let cands = Composer.candidates c ~pending:(iset [ a ]) in
   Alcotest.(check int) "accept enabled" 1 (Array.length cands);
-  let none = Dispatch.candidates d ~state:0 ~pending:(iset [ b ]) in
+  Alcotest.(check bool) "accept needs a" true
+    (Iset.equal cands.(0).Composer.needs_send (iset [ a ]));
+  let none = Composer.candidates c ~pending:(iset [ b ]) in
   Alcotest.(check int) "emit not in empty state" 0 (Array.length none)
 
 let dot_export_mentions_states () =

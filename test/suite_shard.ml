@@ -366,6 +366,74 @@ let kill_no_journal_resumes () =
   Alcotest.(check bool) "a reconnect was recorded" true
     (Atomic.get Shard_stats.reconnects > r0)
 
+(* --- respawn: a dropped link whose worker pid still looks alive ------------- *)
+
+(* A SIGKILLed worker closes its sockets before it becomes a zombie, so the
+   host can read EOF while [waitpid WNOHANG] still reports the pid alive.
+   The wrapper below holds that window open: the host tracks the wrapper's
+   pid, the wrapper runs the real worker, and when the worker dies it
+   lingers a second before exiting. The host must respawn at once, not wait
+   out the (default, 10 s) hello timeout for a connection no process will
+   make. *)
+let lingering_pid_respawns () =
+  let branches = 2 and nworkers = 1 and domains = 4 and n = 150 in
+  let dir = temp_dir () in
+  let pidfile = Filename.concat dir "worker.pid" in
+  let wrapper = Filename.concat dir "worker.sh" in
+  let preoc =
+    match Sys.getenv_opt "PREO_PREOC" with
+    | Some p -> p
+    | None ->
+      let p =
+        Filename.concat (Filename.dirname Sys.executable_name) "../bin/preoc.exe"
+      in
+      if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p
+  in
+  let oc = open_out wrapper in
+  Printf.fprintf oc
+    "#!/bin/sh
+%s \"$@\" &
+echo $! > %s
+wait $!
+st=$?
+     [ $st -eq 0 ] || sleep 1
+exit $st
+"
+    (Filename.quote preoc) (Filename.quote pidfile);
+  close_out oc;
+  Unix.chmod wrapper 0o755;
+  let a0 = Atomic.get Shard_stats.acks in
+  let h =
+    Shard.host ~exe:wrapper ~hello_timeout:10.0 ~domains ~window:8 ~retries:10
+      ~backoff:0.05 ~nworkers
+      ~place:(round_robin nworkers)
+      ~workloads:(consume_workloads ~branches ~nworkers ~domains ~clients:2)
+      ~source:bcast_src ~name:"NBcastFifo"
+      ~lengths:[ ("hd", branches) ]
+      ()
+  in
+  let resume = Atomic.make false in
+  let producer = gated_producer h ~n ~resume in
+  wait_for ~timeout:20.0 ~what:"stream underway" (fun () ->
+      Atomic.get Shard_stats.acks > a0 + 20);
+  let worker =
+    let ic = open_in pidfile in
+    let pid = int_of_string (String.trim (input_line ic)) in
+    close_in ic;
+    pid
+  in
+  let t0 = Unix.gettimeofday () in
+  Unix.kill worker Sys.sigkill;
+  Atomic.set resume true;
+  wait_for ~timeout:30.0 ~what:"stream completes after respawn" (fun () ->
+      Atomic.get Shard_stats.acks >= a0 + (branches * n));
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Thread.join producer;
+  ignore (Shard.shutdown h);
+  Alcotest.(check bool)
+    (Printf.sprintf "stream completed %.2fs after the kill (bound 3 s)" elapsed)
+    true (elapsed < 3.0)
+
 (* --- end-to-end: closed-loop round trips are not stalled by the transport ---- *)
 
 (* Every value leaves the host through a fifo, is incremented on the
@@ -503,6 +571,8 @@ let tests =
     ("worker killed mid-stream: exactly-once replay", `Slow, kill_and_replay);
     ("worker killed without journals: resumes from shipped floor", `Slow,
      kill_no_journal_resumes);
+    ("dropped link, pid still alive: respawned without the hello timeout",
+     `Slow, lingering_pid_respawns);
     ("retry budget exhausted: structured poison, no hang", `Slow, budget_exhausted_poisons);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_shard_fuzz

@@ -31,6 +31,32 @@ let fifo_roundtrip () =
    | None -> Alcotest.fail "emit should fire");
   Alcotest.(check int) "two steps" 2 (Sim.steps sim)
 
+(* Sim fires through the runtime's own step: compiled closures by default,
+   the interpreted walk when compiled dispatch is switched off. *)
+let fires_like_the_runtime () =
+  let saved = !Config.compile in
+  Fun.protect
+    ~finally:(fun () -> Config.compile := saved)
+    (fun () ->
+      List.iter
+        (fun compile ->
+          Config.compile := Some compile;
+          let a = v "a" and b = v "b" in
+          let sim =
+            Sim.create ~sources:[| a |] ~sinks:[| b |]
+              [ prim Preo_reo.Prim.Fifo1 ~tails:[ a ] ~heads:[ b ] ]
+          in
+          for i = 1 to 3 do
+            Sim.offer sim a (Value.int i);
+            Sim.demand sim b
+          done;
+          Alcotest.(check int) "six steps" 6 (List.length (Sim.run sim));
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "compiled/interpreted fires (compile=%b)" compile)
+            (if compile then (6, 0) else (0, 6))
+            (Sim.compiled_fires sim, Sim.interp_fires sim))
+        [ true; false ])
+
 let ordered_merger_trace () =
   (* Script a full round of the paper's connector and check the delivery
      order deterministically. *)
@@ -147,6 +173,7 @@ let tests =
   [
     ("sim: fifo roundtrip", `Quick, fifo_roundtrip);
     ("sim: ordered merger trace", `Quick, ordered_merger_trace);
+    ("sim: fires through compiled dispatch", `Quick, fires_like_the_runtime);
     ("sim: policies agree when deterministic", `Quick, random_policy_still_correct);
     ("sim matches engine step count", `Quick, sim_matches_engine_steps);
     ("try ops on fifo", `Quick, try_ops_on_fifo);

@@ -179,27 +179,6 @@ let rng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
 
-(* --- Stats ---------------------------------------------------------------- *)
-
-let feq = Alcotest.float 1e-9
-
-let stats_basic () =
-  let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
-  Alcotest.check feq "mean" 2.5 (Stats.mean xs);
-  Alcotest.check feq "median" 2.5 (Stats.median xs);
-  Alcotest.check feq "sum" 10.0 (Stats.sum xs);
-  Alcotest.check feq "min" 1.0 (Stats.min xs);
-  Alcotest.check feq "max" 4.0 (Stats.max xs);
-  Alcotest.check feq "p0" 1.0 (Stats.percentile xs 0.0);
-  Alcotest.check feq "p100" 4.0 (Stats.percentile xs 100.0);
-  Alcotest.check (Alcotest.float 1e-6) "stdev"
-    (sqrt (5.0 /. 3.0))
-    (Stats.stdev xs)
-
-let stats_degenerate () =
-  Alcotest.check feq "stdev singleton" 0.0 (Stats.stdev [| 5.0 |]);
-  Alcotest.(check bool) "mean empty is nan" true (Float.is_nan (Stats.mean [||]))
-
 (* --- Dyn ------------------------------------------------------------------ *)
 
 let dyn_basic () =
@@ -236,8 +215,6 @@ let tests =
     ("rng deterministic", `Quick, rng_deterministic);
     ("rng bounds", `Quick, rng_bounds);
     ("rng shuffle", `Quick, rng_shuffle_permutes);
-    ("stats basic", `Quick, stats_basic);
-    ("stats degenerate", `Quick, stats_degenerate);
     ("dyn", `Quick, dyn_basic);
     ("tablefmt", `Quick, table_render);
   ]

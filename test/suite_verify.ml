@@ -46,32 +46,82 @@ let deadlock_detected () =
     Alcotest.(check int) "path length" 1 (List.length ce.Verify.path)
   | other -> Alcotest.failf "expected 1 deadlock, got %d" (List.length other)
 
+(* The automaton [preoc verify] checks: the composed product with internal
+   vertices hidden, minus the transitions the runtime drops because their
+   data constraint can never fire ([Automaton.optimize_labels], i.e.
+   [Command.firable]). *)
+let verified_automaton (c : Preo.compiled) lengths =
+  let bindings, sources, sinks = Eval.boundary_of_def c.Preo.def ~lengths in
+  let venv = Eval.venv ~ints:[] ~arrays:bindings in
+  let mediums = Eval.small_automata (Eval.prims venv c.Preo.flat.Ast.c_body) in
+  let large = Preo_automata.Product.all mediums in
+  let keep =
+    Preo_support.Iset.of_list (Array.to_list sources @ Array.to_list sinks)
+  in
+  let large =
+    Automaton.hide (Preo_support.Iset.diff large.Automaton.vertices keep) large
+  in
+  (Automaton.trim (Automaton.optimize_labels (Automaton.trim large)),
+   (sources, sinks, mediums))
+
 let deadlock_free_connectors () =
   (* Every catalog connector composes to a deadlock-free automaton at small
-     N under the existing pipeline. *)
+     N, counting only transitions the runtime can fire. *)
   List.iter
     (fun (e : Preo_connectors.Catalog.entry) ->
       let c = Preo_connectors.Catalog.compiled e in
-      let bindings, sources, sinks =
-        Eval.boundary_of_def c.Preo.def ~lengths:(e.lengths 3)
-      in
-      let venv = Eval.venv ~ints:[] ~arrays:bindings in
-      let prims = Eval.prims venv c.Preo.flat.Ast.c_body in
-      let large =
-        Preo_automata.Product.all (Eval.small_automata prims)
-      in
-      let keep =
-        Preo_support.Iset.of_list (Array.to_list sources @ Array.to_list sinks)
-      in
-      let large =
-        Automaton.trim
-          (Automaton.hide (Preo_support.Iset.diff large.Automaton.vertices keep) large)
-      in
-      Alcotest.(check int)
-        (e.name ^ " deadlock-free")
-        0
-        (List.length (Verify.deadlocks large)))
+      List.iter
+        (fun n ->
+          let large, _ = verified_automaton c (e.lengths n) in
+          Alcotest.(check int)
+            (Printf.sprintf "%s N=%d deadlock-free" e.name n)
+            0
+            (List.length (Verify.deadlocks large)))
+        [ 2; 3 ])
     Preo_connectors.Catalog.all
+
+(* examples/deadlock.preo: the only transition, {a,b}, needs a datum at n
+   that nothing produces, so the runtime drops it and every run stalls. The
+   verifier must agree: the deadlock is the initial state, which is where
+   [Sim] sticks with every boundary operation pending, and [preoc verify]
+   exits 1 with that counterexample. *)
+let deadlock_example () =
+  let dir = Filename.dirname Sys.executable_name in
+  let path =
+    (* a dependency of the test rule; [dune exec] alone leaves it unbuilt *)
+    let built = Filename.concat dir "../examples/deadlock.preo" in
+    match Sys.getenv_opt "DUNE_SOURCEROOT" with
+    | Some root when not (Sys.file_exists built) ->
+      Filename.concat root "examples/deadlock.preo"
+    | _ -> built
+  in
+  let source = In_channel.with_open_bin path In_channel.input_all in
+  let large, (sources, sinks, mediums) =
+    verified_automaton (Preo.compile ~source ~name:"Deadlock") []
+  in
+  (match Verify.deadlocks large with
+   | [ ce ] ->
+     Alcotest.(check int) "deadlock at the initial state" large.Automaton.initial
+       ce.Verify.state;
+     Alcotest.(check int) "after no step" 0 (List.length ce.Verify.path)
+   | ces -> Alcotest.failf "expected 1 deadlock, got %d" (List.length ces));
+  let sim = Preo_runtime.Sim.create ~sources ~sinks mediums in
+  Array.iter (fun a -> Preo_runtime.Sim.offer sim a (Preo_support.Value.int 1))
+    sources;
+  Array.iter (Preo_runtime.Sim.demand sim) sinks;
+  Alcotest.(check bool) "sim stuck at once" true
+    (Preo_runtime.Sim.step sim = None);
+  let preoc = Filename.concat dir "../bin/preoc.exe" in
+  let ic =
+    Unix.open_process_args_in preoc [| preoc; "verify"; path; "Deadlock" |]
+  in
+  let out = In_channel.input_all ic in
+  Alcotest.(check bool) "counterexample printed" true
+    (String.starts_with ~prefix:"DEADLOCK"
+       (List.nth (String.split_on_char '\n' out) 1));
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 1 -> ()
+  | _ -> Alcotest.failf "preoc verify should exit 1; printed:\n%s" out
 
 let mutual_exclusion_of_router_branches () =
   let a = v "a" and b1 = v "b1" and b2 = v "b2" in
@@ -114,6 +164,7 @@ let tests =
     ("fig5 swapped fails", `Quick, fig5_violated_when_swapped);
     ("deadlock detected", `Quick, deadlock_detected);
     ("catalog deadlock-free", `Quick, deadlock_free_connectors);
+    ("deadlock.preo: verify agrees with the runtime", `Quick, deadlock_example);
     ("router mutual exclusion", `Quick, mutual_exclusion_of_router_branches);
     ("replicator synchrony", `Quick, synchrony_of_replicator);
     ("fifo precedence", `Quick, precedence_of_fifo);

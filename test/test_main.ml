@@ -18,7 +18,6 @@ let () =
       ("shard", Suite_shard.tests);
       ("solver-props", Suite_solver_props.tests);
       ("fuzz", Suite_fuzz.tests);
-      ("stream", Suite_stream.tests);
       ("stress", Suite_stress.tests);
       ("wakeup", Suite_wakeup.tests);
       ("lockfree", Suite_lockfree.tests);
