@@ -31,18 +31,14 @@
 open Preo_support
 open Preo_automata
 
-type row = {
-  flow : Iset.t;  (** vertices of the owning primitive colored flow *)
-  no_flow : Iset.t;  (** its remaining vertices, colored no-flow *)
-  bflow : Iset.t;  (** [flow] restricted to the boundary (viability test) *)
-  constr : Constr.t;
-  target : int;  (** local target state when this row fires *)
-}
-
 type t
 (** Color tables for one connector: prepared medium automata (slot order),
-    a boundary, per-(medium, local state) row arrays, and a vertex → owning
-    mediums index. Immutable; rebuild after an elastic splice. *)
+    a boundary, per-(medium, local state) row arrays over a dense
+    per-connector vertex numbering, a vertex → owning mediums index, the
+    internal-capable rows, and the scratch state one resolution propagates
+    in. The tables never change (rebuild after an elastic splice), but the
+    scratch does: {!resolve} is not reentrant, so callers hold the owning
+    engine's lock. *)
 
 type round = {
   r_sync : Iset.t;  (** union of the participating rows' flow sets *)
@@ -82,16 +78,29 @@ val resolve :
 (** [resolve t ~current ~pending ~rot ~max_rounds ~budget] finds up to
     [max_rounds] distinct rounds enabled at local states [current] whose
     boundary flow is covered by [pending], and returns them with the number
-    of propagation iterations spent. Each round is enumerated exactly once,
-    from its minimum-slot participating medium — propagation branches that
-    reach below the current seed are cut — so confirming that nothing
-    (more) is enabled costs one cheap failed probe per medium rather than a
-    full re-propagation per medium. Seeds are scanned starting from medium
-    [rot mod k] and row preference rotates with [rot]; callers bump [rot]
+    of propagation iterations spent (one per row tried).
+
+    Seeds come from [pending], not from every medium. A row with boundary
+    flow is seeded only through its least boundary vertex, among the owners
+    of each pending vertex. A row without boundary flow seeds only fully
+    internal rounds, and only if {!make} found it internal-capable: every
+    other owner of each vertex it fires has an internal-capable row firing
+    that vertex. Finding those seeds scans one precomputed flag per medium,
+    the only term proportional to the connector; everything else costs the
+    pending set plus the closure each seed propagates over, so a round
+    costs the mediums and ports it touches.
+
+    Each round is enumerated exactly once: a round with boundary flow from
+    its minimum-slot participant among rows with boundary flow, a fully
+    internal round from its minimum slot. Pending vertices are scanned
+    starting at position [rot mod |pending|], internal seeds starting at
+    medium [rot mod k], the two kinds alternate going first with [rot]'s
+    parity, and row preference rotates with [rot]; callers bump [rot]
     across resolutions so rounds beyond the cap are not starved. When fewer
     than [max_rounds] rounds exist the scan is exhaustive: an empty result
     means nothing is enabled. Raises {!Propagation_budget} if [budget]
-    iterations are exceeded. *)
+    iterations are exceeded; the scratch state is cleared on every exit,
+    that one included. *)
 
 val lts :
   ?max_states:int ->

@@ -97,7 +97,8 @@ end
 module Xcache = Lru.Make (Round_key)
 
 (* Coloring backend: rounds are re-resolved by color propagation on every
-   candidate request (per-round cost proportional to graph size), but the
+   candidate request (cost: the pending set plus the closures propagated
+   over), but the
    per-round work that does not depend on the resolution — building the
    xtrans, solving its command — is memoized on the round's canonical key.
    The cached entry is [None] when the round's constraint is structurally
@@ -111,8 +112,8 @@ type color_state = {
   xcache : xtrans option Xcache.t;
   mutable col_rot : int;
       (* seed-rotation cursor: resolutions start their seed scan at a
-         different medium each time, so rounds beyond the per-resolution
-         cap are not starved *)
+         different pending vertex (and medium) each time, so rounds beyond
+         the per-resolution cap are not starved *)
   mutable col_version : int;  (* bumped on commit/splice: memo validity *)
   mutable col_memo : (int * Iset.t * xtrans array) option;
       (* single-slot candidates memo keyed on (version, pending): the

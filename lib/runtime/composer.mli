@@ -9,8 +9,9 @@
     product state at all — each candidate request resolves up to a handful
     of synchronization rounds by flow/no-flow color propagation over the
     connector graph ([Preo_coloring.Coloring]), so per-round cost tracks
-    graph size rather than product size. All three present the same
-    stateful interface to the engine and to [Sim]. *)
+    the pending ports and the mediums a round touches rather than product
+    size. All three present the same stateful interface to the engine and
+    to [Sim]. *)
 
 open Preo_support
 open Preo_automata
@@ -96,9 +97,9 @@ val coloring :
 (** The connector-coloring backend: mediums get the same preparation as
     {!jit}, but {!candidates} resolves at most [max_rounds] (default 16)
     synchronization rounds per request by color propagation instead of
-    expanding the product state — per-round cost proportional to graph
-    size. Resolutions rotate their seed scan so enabled rounds beyond the
-    cap are not starved. [expansion_budget] bounds propagation iterations
+    expanding the product state — a resolution costs the pending set plus
+    the closures it propagates over. Resolutions rotate their seed scan so
+    enabled rounds beyond the cap are not starved. [expansion_budget] bounds propagation iterations
     {e per resolution} (same knob as the JIT expander's per-state budget);
     [cache_capacity] bounds the per-round command cache (LRU; unbounded by
     default). Always interleaving semantics: 2-coloring cannot express the

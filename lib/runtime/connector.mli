@@ -240,9 +240,12 @@ type stats = {
       (** synchronization rounds resolved by color propagation (coloring
           backend; 0 under automata) *)
   st_color_iters : int;
-      (** color-propagation iterations — row trials during the fixed point;
-          [st_color_iters / st_color_rounds] is the mean cost of resolving
-          one round *)
+      (** color-propagation iterations — row trials, counting each seed row
+          tried (from the owners of pending vertices, or internal-capable)
+          and each row tried for a pulled medium. Failed probes and
+          confirmations that nothing more is enabled count too, so
+          [st_color_iters / st_color_rounds] is the mean propagation cost
+          per resolved round *)
   st_compiled_fires : int;
       (** firings executed through closure-compiled commands
           ([Command.compile]): guard check + moves in one pre-bound call *)

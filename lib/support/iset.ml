@@ -12,6 +12,7 @@ let of_list l =
 
 let of_sorted_array_unchecked a = a
 let cardinal = Array.length
+let nth (s : t) i = s.(i)
 
 let mem x s =
   let rec go lo hi =

@@ -15,6 +15,10 @@ val of_list : int list -> t
 val of_sorted_array_unchecked : int array -> t
 
 val cardinal : t -> int
+
+val nth : t -> int -> int
+(** [nth s i] is the [i]-th smallest element, [0 <= i < cardinal s]. *)
+
 val mem : int -> t -> bool
 val add : int -> t -> t
 val remove : int -> t -> t

@@ -10,7 +10,11 @@
    - backend resolution and downgrade rules (Existing, true_synchronous);
    - deadline storms, stall reports and the watchdog behave identically on
      the coloring backend (satellite: timer parity);
-   - elastic splices keep working when rounds are resolved by coloring. *)
+   - elastic splices keep working when rounds are resolved by coloring;
+   - resolution from a pending subset yields exactly the all-pending rounds
+     whose boundary flow it covers, each once, and the resolver's scratch
+     state survives an aborted resolution;
+   - iterations and minor words per round stay flat from N=16 to N=256. *)
 
 open Preo_support
 open Preo_automata
@@ -58,18 +62,23 @@ let sched_unit () =
 
 (* --- equivalence: coloring ~ product over the catalog ---------------------- *)
 
+(* The primitive automata of a catalog entry at size [n], with its
+   boundary. *)
+let catalog_autos (e : Catalog.entry) n =
+  let c = Catalog.compiled e in
+  let bindings, sources, sinks =
+    Preo_lang.Eval.boundary_of_def c.Preo.def ~lengths:(e.Catalog.lengths n)
+  in
+  let venv = Preo_lang.Eval.venv ~ints:[] ~arrays:bindings in
+  let prims = Preo_lang.Eval.prims venv c.Preo.flat.Preo.Ast.c_body in
+  ( Preo_lang.Eval.small_automata prims,
+    Iset.of_list (Array.to_list sources),
+    Iset.of_list (Array.to_list sinks) )
+
 let catalog_bisimulation () =
   List.iter
     (fun (e : Catalog.entry) ->
-      let c = Catalog.compiled e in
-      let bindings, sources, sinks =
-        Preo_lang.Eval.boundary_of_def c.Preo.def ~lengths:(e.Catalog.lengths 3)
-      in
-      let venv = Preo_lang.Eval.venv ~ints:[] ~arrays:bindings in
-      let prims = Preo_lang.Eval.prims venv c.Preo.flat.Preo.Ast.c_body in
-      let autos = Preo_lang.Eval.small_automata prims in
-      let srcs = Iset.of_list (Array.to_list sources) in
-      let snks = Iset.of_list (Array.to_list sinks) in
+      let autos, srcs, snks = catalog_autos e 3 in
       let keep = Iset.union srcs snks in
       let restrict a =
         Automaton.trim (Automaton.hide (Iset.diff a.Automaton.vertices keep) a)
@@ -174,27 +183,33 @@ let chains_agree () =
     ignore (build_chain rng len)
   done
 
+(* A replicator fanning [a] out to [k] lanes, each a fifo except lane
+   [incr_lane], a transform. *)
+let build_fanout k incr_lane =
+  let a = Vertex.fresh "a" in
+  let mids = Array.init k (fun _ -> Vertex.fresh "m") in
+  let outs = Array.init k (fun _ -> Vertex.fresh "o") in
+  let autos =
+    Preo_reo.Prim.build Preo_reo.Prim.Replicator ~tails:[ a ]
+      ~heads:(Array.to_list mids)
+    :: List.init k (fun i ->
+           if i = incr_lane then
+             Preo_reo.Prim.build
+               (Preo_reo.Prim.Transform "incr")
+               ~tails:[ mids.(i) ] ~heads:[ outs.(i) ]
+           else
+             Preo_reo.Prim.build Preo_reo.Prim.Fifo1 ~tails:[ mids.(i) ]
+               ~heads:[ outs.(i) ])
+  in
+  (autos, a, outs)
+
 let fanout_agree () =
   let rng = Rng.create 88 in
   for _case = 1 to 4 do
     let k = 2 + Rng.int rng 4 in
     let incr_lane = Rng.int rng k in
     let run config backend =
-      let a = Vertex.fresh "a" in
-      let mids = Array.init k (fun _ -> Vertex.fresh "m") in
-      let outs = Array.init k (fun _ -> Vertex.fresh "o") in
-      let autos =
-        Preo_reo.Prim.build Preo_reo.Prim.Replicator ~tails:[ a ]
-          ~heads:(Array.to_list mids)
-        :: List.init k (fun i ->
-               if i = incr_lane then
-                 Preo_reo.Prim.build
-                   (Preo_reo.Prim.Transform "incr")
-                   ~tails:[ mids.(i) ] ~heads:[ outs.(i) ]
-               else
-                 Preo_reo.Prim.build Preo_reo.Prim.Fifo1 ~tails:[ mids.(i) ]
-                   ~heads:[ outs.(i) ])
-      in
+      let autos, a, outs = build_fanout k incr_lane in
       let conn =
         Connector.create ~config ?backend ~sources:[| a |] ~sinks:outs autos
       in
@@ -229,6 +244,223 @@ let fanout_agree () =
           got)
       [ ("coloring", Config.new_jit); ("coloring-part", Config.new_partitioned) ]
   done
+
+(* --- round-set oracle --------------------------------------------------- *)
+
+let resolve_all ?(rot = 0) col ~current ~pending =
+  fst
+    (Coloring.resolve col ~current ~pending ~rot ~max_rounds:max_int
+       ~budget:max_int)
+
+let keys rounds =
+  List.sort compare (List.map (fun r -> r.Coloring.r_key) rounds)
+
+(* Pending sets to try: every subset of the boundary when there are at most
+   64, else the empty set and 32 seeded draws. *)
+let pending_subsets rng boundary =
+  let vs = Iset.elements boundary in
+  if List.length vs <= 6 then
+    List.init
+      (1 lsl List.length vs)
+      (fun m ->
+        Iset.of_list (List.filteri (fun i _ -> m land (1 lsl i) <> 0) vs))
+  else
+    Iset.empty
+    :: List.init 32 (fun _ -> Iset.filter (fun _ -> Rng.bool rng) boundary)
+
+(* Explores up to [max_states] local-state vectors that resolution reaches
+   with every boundary vertex pending. At each, the rounds resolved from a
+   pending subset [p] must be exactly the all-pending rounds whose boundary
+   flow lies in [p], none twice, each with its moves in ascending slot
+   order. Returns how many fully internal rounds it met. *)
+let check_round_sets ?(max_states = 32) name ~sources ~sinks autos =
+  let col = Coloring.make ~sources ~sinks (Array.of_list autos) in
+  let boundary = Coloring.boundary col in
+  let rng = Rng.create 17 in
+  let seen = Hashtbl.create 64 in
+  let queue = Queue.create () in
+  let visit vec =
+    if (not (Hashtbl.mem seen vec)) && Hashtbl.length seen < max_states
+    then begin
+      Hashtbl.add seen vec ();
+      Queue.push vec queue
+    end
+  in
+  let well_formed what rounds =
+    let ks = keys rounds in
+    if List.length (List.sort_uniq compare ks) <> List.length ks then
+      Alcotest.failf "%s: a round resolved twice (%s)" name what;
+    List.iter
+      (fun (r : Coloring.round) ->
+        Array.iteri
+          (fun i (j, _) ->
+            if i > 0 && fst r.r_moves.(i - 1) >= j then
+              Alcotest.failf "%s: moves out of slot order in %s" name r.r_key)
+          r.r_moves)
+      rounds
+  in
+  visit (Array.map (fun (a : Automaton.t) -> a.initial) (Coloring.mediums col));
+  let nstates = ref 0 and internal = ref 0 in
+  while not (Queue.is_empty queue) do
+    let current = Queue.pop queue in
+    incr nstates;
+    let full = resolve_all col ~current ~pending:boundary in
+    well_formed "all pending" full;
+    List.iter
+      (fun (r : Coloring.round) ->
+        if Iset.disjoint r.r_sync boundary then incr internal;
+        let next = Array.copy current in
+        Array.iter (fun (j, s) -> next.(j) <- s) r.r_moves;
+        visit next)
+      full;
+    List.iteri
+      (fun i p ->
+        let got = resolve_all ~rot:(i + !nstates) col ~current ~pending:p in
+        well_formed "subset" got;
+        let want =
+          List.filter
+            (fun (r : Coloring.round) ->
+              Iset.subset (Iset.inter r.r_sync boundary) p)
+            full
+        in
+        if keys want <> keys got then
+          Alcotest.failf "%s state %d pending %s: want [%s] got [%s]" name
+            !nstates
+            (Format.asprintf "%a" Iset.pp p)
+            (String.concat " " (keys want))
+            (String.concat " " (keys got)))
+      (pending_subsets rng boundary)
+  done;
+  !internal
+
+let round_set_oracle () =
+  List.iter
+    (fun (e : Catalog.entry) ->
+      List.iter
+        (fun n ->
+          let autos, sources, sinks = catalog_autos e n in
+          let internal =
+            check_round_sets
+              (Printf.sprintf "%s N=%d" e.Catalog.name n)
+              ~sources ~sinks autos
+          in
+          (* relay_ring's fifo -> fifo hops are its fully internal rounds *)
+          if e.Catalog.name = "relay_ring" then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s N=%d has fully internal rounds"
+                 e.Catalog.name n)
+              true (internal > 0))
+        [ 2; 3; 4 ])
+    Catalog.all;
+  let rng = Rng.create 515 in
+  for case = 1 to 6 do
+    let k = 2 + Rng.int rng 4 in
+    let autos, a, outs = build_fanout k (Rng.int rng k) in
+    ignore
+      (check_round_sets
+         (Printf.sprintf "fanout %d (k=%d)" case k)
+         ~sources:(Iset.singleton a)
+         ~sinks:(Iset.of_list (Array.to_list outs))
+         autos);
+    let autos, a, b = build_chain rng (1 + Rng.int rng 6) in
+    ignore
+      (check_round_sets
+         (Printf.sprintf "chain %d" case)
+         ~sources:(Iset.singleton a) ~sinks:(Iset.singleton b) autos)
+  done
+
+(* The scratch state is cleared on every exit: after a resolution cut short
+   by its budget or by [max_rounds], the same tables resolve exactly what
+   fresh ones do. *)
+let resolve_resets_after_abort () =
+  List.iter
+    (fun name ->
+      let autos, sources, sinks = catalog_autos (Catalog.find name) 4 in
+      let fresh () = Coloring.make ~sources ~sinks (Array.of_list autos) in
+      let col = fresh () in
+      let current =
+        Array.map (fun (a : Automaton.t) -> a.initial) (Coloring.mediums col)
+      in
+      let pending = Coloring.boundary col in
+      let syncs rounds =
+        List.map
+          (fun (r : Coloring.round) -> (r.r_key, Iset.elements r.r_sync))
+          rounds
+        |> List.sort compare
+      in
+      let reference = syncs (resolve_all (fresh ()) ~current ~pending) in
+      Alcotest.(check bool) (name ^ ": something is enabled") true
+        (reference <> []);
+      (match
+         Coloring.resolve col ~current ~pending ~rot:0 ~max_rounds:max_int
+           ~budget:2
+       with
+       | exception Coloring.Propagation_budget _ -> ()
+       | _ -> Alcotest.failf "%s: budget 2 must trip mid-propagation" name);
+      Alcotest.(check (list (pair string (list int))))
+        (name ^ ": same rounds after Propagation_budget")
+        reference
+        (syncs (resolve_all col ~current ~pending));
+      ignore
+        (Coloring.resolve col ~current ~pending ~rot:1 ~max_rounds:1
+           ~budget:max_int);
+      Alcotest.(check (list (pair string (list int))))
+        (name ^ ": same rounds after a capped resolution")
+        reference
+        (syncs (resolve_all col ~current ~pending)))
+    [ "broadcast_fifo"; "sequencer"; "token_ring" ]
+
+(* --- count gates: a round's cost does not grow with the connector -------- *)
+
+(* broadcast_fifo driven by one thread: each op sends once, then receives
+   on all [n] sinks, i.e. n + 1 rounds. Returns propagation iterations and
+   minor words per fired round, after a warm-up. *)
+let bcast_cost_per_round n =
+  let e = Catalog.find "broadcast_fifo" in
+  let inst =
+    Preo.instantiate ~config:Config.new_jit ~backend:Sched.Coloring ~domains:1
+      (Catalog.compiled e) ~lengths:(e.Catalog.lengths n)
+  in
+  Fun.protect
+    ~finally:(fun () -> Preo.shutdown inst)
+    (fun () ->
+      let tl = (Preo.outports inst "tl").(0) and hd = Preo.inports inst "hd" in
+      let op k =
+        Port.send tl (Value.int k);
+        Array.iter (fun p -> ignore (Port.recv p)) hd
+      in
+      for k = 1 to 5 do
+        op k
+      done;
+      let stats () = Connector.stats (Preo.connector inst) in
+      let s0 = stats () in
+      let w0 = Gc.minor_words () in
+      for k = 1 to 20 do
+        op k
+      done;
+      let w1 = Gc.minor_words () in
+      let s1 = stats () in
+      let rounds =
+        float_of_int (s1.Connector.st_steps - s0.Connector.st_steps)
+      in
+      Alcotest.(check (float 0.5))
+        (Printf.sprintf "N=%d: n + 1 rounds per op" n)
+        (float_of_int (20 * (n + 1)))
+        rounds;
+      ( float_of_int (s1.Connector.st_color_iters - s0.Connector.st_color_iters)
+        /. rounds,
+        (w1 -. w0) /. rounds ))
+
+let count_gates () =
+  let iters16, words16 = bcast_cost_per_round 16 in
+  let iters256, words256 = bcast_cost_per_round 256 in
+  let within what small big =
+    if big > 2.0 *. small then
+      Alcotest.failf "%s per round grows with N: %.1f at N=16, %.1f at N=256"
+        what small big
+  in
+  within "st_color_iters" iters16 iters256;
+  within "minor words" words16 words256
 
 (* --- the §V-C blow-up family at N=64 -------------------------------------- *)
 
@@ -589,4 +821,9 @@ let tests =
     ("stall report parity across backends", `Quick, stall_report_parity);
     ("elastic grow under coloring", `Quick, elastic_grow_under_coloring);
     ("catalog smoke under coloring", `Quick, catalog_smoke_coloring);
+    ("round sets: pending subsets filter, no repeats", `Quick,
+     round_set_oracle);
+    ("resolve resets after budget and cap", `Quick,
+     resolve_resets_after_abort);
+    ("count gates: per-round cost flat in N", `Quick, count_gates);
   ]

@@ -319,6 +319,7 @@ let fork_join () =
       let works = inports inst "work" in
       let result = (inports inst "hd").(0) in
       let rounds = 4 in
+      let joined = Array.make rounds 0 in
       Task.run_all
         ((fun () ->
            for r = 1 to rounds do
@@ -326,14 +327,16 @@ let fork_join () =
            done)
         :: (fun () ->
              for r = 1 to rounds do
-               let x = Value.to_int (Port.recv result) in
-               Alcotest.(check int) (cname ^ " joined ack") (r * 2) x
+               joined.(r - 1) <- Value.to_int (Port.recv result)
              done)
         :: List.init n (fun i -> fun () ->
                for _ = 1 to rounds do
                  let x = Value.to_int (Port.recv works.(i)) in
                  Port.send acks.(i) (Value.int (x * 2))
-               done)))
+               done));
+      Alcotest.(check (list int)) (cname ^ " joined acks")
+        (List.init rounds (fun r -> (r + 1) * 2))
+        (Array.to_list joined))
 
 let discriminator () =
   with_inst "discriminator" (fun cname n inst ->
